@@ -106,11 +106,20 @@ const std::vector<std::string> kAttrs = {"rx_packets", "rx_bytes",
 
 // Wall time of kSweepsPerConfig 64-element queries, plus the concatenated
 // wire encoding of the last sweep's records (for the determinism check).
-double sweep_seconds(Fleet& fleet, std::string* wire_out) {
+// `per_element` issues each sweep as a get_attr_q loop in input order.
+double sweep_seconds(Fleet& fleet, std::string* wire_out,
+                     bool per_element = false) {
   Controller* c = fleet.dep.controller();
   auto start = std::chrono::steady_clock::now();
   for (int s = 0; s < kSweepsPerConfig; ++s) {
-    auto got = c->get_attr_many(kTenant, fleet.ids, kAttrs);
+    std::vector<Result<Controller::QualifiedRecord>> got;
+    if (per_element) {
+      for (const ElementId& id : fleet.ids) {
+        got.push_back(c->get_attr_q(kTenant, id, kAttrs));
+      }
+    } else {
+      got = c->get_attr_many(kTenant, fleet.ids, kAttrs);
+    }
     if (s == kSweepsPerConfig - 1 && wire_out != nullptr) {
       for (const auto& r : got) {
         PS_CHECK(r.ok());
@@ -135,14 +144,13 @@ int main() {
   note("per-element cost: %lld us channel RTT + /proc text parse",
        static_cast<long long>(kChannelRtt.count()));
 
-  // Sequential oracle: batching off degrades get_attr_many to the
-  // per-element get_attr_q loop.
+  // Sequential bill: an explicit get_attr_q loop in input order, one
+  // channel round trip per element.
   std::string wire_seq;
   Controller::CostSnapshot seq_cost;
   {
     Fleet fleet(1);
-    fleet.dep.controller()->set_batching(false);
-    double s = sweep_seconds(fleet, &wire_seq);
+    double s = sweep_seconds(fleet, &wire_seq, /*per_element=*/true);
     seq_cost = fleet.dep.controller()->cost();
     row({"oracle", fmt("%.2f", s * 1e3 / kSweepsPerConfig), "-"});
   }

@@ -44,7 +44,7 @@ Stats measure(Agent& agent, const ElementId& id, int n) {
   std::vector<double> us;
   us.reserve(n);
   for (int i = 0; i < n; ++i) {
-    auto resp = agent.query(id, SimTime::nanos(i));
+    auto resp = agent.query_attrs(id, {}, SimTime::nanos(i));
     us.push_back(resp.value().response_time.us());
   }
   Stats s;

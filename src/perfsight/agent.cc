@@ -96,7 +96,6 @@ Status Agent::remove_element(const ElementId& id) {
   if (sources_.erase(id) == 0) {
     return Status::not_found("agent " + name_ + ": no element " + id.name);
   }
-  cache_.erase(id);
   return Status::ok();
 }
 
@@ -118,11 +117,6 @@ Duration Agent::channel_delay_locked(ChannelKind kind) {
   return m.base + m.jitter * rng_.next_double();
 }
 
-void Agent::observe_channel(ChannelKind kind, Duration delay) {
-  std::lock_guard<std::mutex> lock(mu_);
-  channel_hist_[static_cast<size_t>(kind)].observe(delay.sec());
-}
-
 void Agent::emit_pending(const std::vector<PendingTrace>& traces) {
   for (const PendingTrace& p : traces) {
     trace_event(p.id, p.t, p.kind, p.value, p.detail);
@@ -139,7 +133,6 @@ void Agent::absorb_crashes_locked(SimTime now,
   // counters read from zero on the next collect (the Monitor's negative-
   // delta reset detection absorbs the discontinuity).
   fstats_.crashes += n;
-  cache_.clear();
   last_good_.clear();
   reset_offset_.clear();
   pending_reset_.clear();
@@ -215,7 +208,7 @@ void Agent::plan_outcome_locked(PlannedQuery& q, SimTime now,
     // A scheduled outage window makes every attempt fail like a transient
     // error — the schedule is the authority, no Bernoulli draw consulted,
     // so the same plan at the same simulated time fails identically in the
-    // single, batch and poll paths.
+    // batch and poll paths.
     FaultDecision dec;
     if (may_fault && !agent_down) dec = plan_->decide(q.id, q.kind, now, attempt);
     if (dec.kind != FaultKind::kNone) ++fstats_.faults_injected;
@@ -364,165 +357,98 @@ void Agent::apply_fault_bookkeeping(const ElementId& id, StatsRecord& record,
   if (track_last_good) last_good_[id] = record;
 }
 
-Result<QueryResponse> Agent::query(const ElementId& id, SimTime now) {
-  PlannedQuery q;
-  bool fault_mode = false;
-  bool track_last_good = false, bookkeep = false;
-  std::vector<PendingTrace> pending;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    absorb_crashes_locked(now, &pending);
-    auto it = sources_.find(id);
-    if (it == sources_.end()) {
-      return Status::not_found("agent " + name_ + ": no element " + id.name);
-    }
-    q.id = id;
-    q.source = it->second;
-    q.kind = it->second->channel_kind();
-    fault_mode = plan_ != nullptr;
-    if (fault_mode) {
-      track_last_good = plan_->serves_stale();
-      bookkeep = track_last_good || !pending_reset_.empty() ||
-                 !reset_offset_.empty();
-    }
-    const bool down = fault_mode && plan_->has_campaign() &&
-                      plan_->agent_down(name_, now);
-    plan_outcome_locked(q, now, /*shared_first=*/false, Duration{}, down,
-                        &pending);
+Result<QueryResponse> AgentClient::query_attrs(
+    const ElementId& id, const std::vector<std::string>& attrs, SimTime now) {
+  BatchResponse b = query_batch({id}, now);
+  if (b.responses.empty()) {
+    return Status::not_found("agent " + name() + ": no element " + id.name);
   }
-  emit_pending(pending);
-
-  if (q.failed) {
-    if (q.attempts > 0) observe_channel(q.kind, q.delay);
-    if (trace_enabled()) {
-      if (q.attempts > 0) {
-        trace_event(id, now, TraceEventKind::kAgentQueryIssued, 0,
-                    to_string(q.kind));
-      }
-      trace_event(id, now + q.delay, TraceEventKind::kAgentQueryFailed,
-                  static_cast<double>(q.attempts), to_string(q.kind));
-    }
-    return query_failure_status(name_, id, q.attempts, q.fail_code);
+  QueryResponse r = std::move(b.responses.front());
+  if (r.quality == DataQuality::kMissing) {
+    return query_failure_status(name(), id, r.attempts, r.fail_code);
   }
-
-  QueryResponse resp;
-  if (q.serve_stale) {
-    resp.record = std::move(q.stale_record);  // true (old) timestamp kept
-  } else {
-    resp.record = q.source->collect(now);
-    if (bookkeep) apply_fault_bookkeeping(id, resp.record, track_last_good);
-    if (q.quality == DataQuality::kTorn) {
-      resp.record = apply_torn_read(resp.record, q.torn_salt);
-    }
-  }
-  resp.response_time = q.delay;
-  resp.quality = q.quality;
-  resp.attempts = q.attempts;
-  observe_channel(q.kind, q.delay);
-  if (trace_enabled()) {
-    trace_event(id, now, TraceEventKind::kAgentQueryIssued, 0,
-                to_string(q.kind));
-    trace_event(id, now + resp.response_time,
-                TraceEventKind::kAgentQueryCompleted, resp.response_time.us(),
-                to_string(q.kind));
-  }
-  return resp;
-}
-
-Result<QueryResponse> Agent::query_attrs(const ElementId& id,
-                                         const std::vector<std::string>& attrs,
-                                         SimTime now) {
-  Result<QueryResponse> full = query(id, now);
-  if (!full.ok()) return full.status();
-  QueryResponse resp = full.value();
-  resp.record = project(resp.record, attrs);
-  return resp;
-}
-
-Result<QueryResponse> Agent::query_cached(const ElementId& id, SimTime now,
-                                          Duration max_age) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = cache_.find(id);
-    if (it != cache_.end() && now - it->second.record.timestamp <= max_age) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      QueryResponse hit = it->second;
-      hit.response_time = Duration::nanos(0);  // served locally
-      // No channel was used (so no channel_hist_ observe), but the
-      // flight-recorder timeline must still show the query: emit a
-      // zero-latency cache-hit event.
-      trace_event(id, now, TraceEventKind::kAgentCacheHit, 0, "cache");
-      return hit;
-    }
-  }
-  Result<QueryResponse> fresh = query(id, now);
-  if (fresh.ok()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    cache_[id] = fresh.value();
-  }
-  return fresh;
+  r.record = project(r.record, attrs);
+  return r;
 }
 
 BatchResponse Agent::query_batch(const std::vector<ElementId>& ids,
                                  SimTime now, ThreadPool* pool) {
+  return collect(&ids, now, pool);
+}
+
+std::vector<QueryResponse> Agent::poll_all(SimTime now, ThreadPool* pool) {
+  return collect(nullptr, now, pool).responses;
+}
+
+BatchResponse Agent::collect(const std::vector<ElementId>* ids, SimTime now,
+                             ThreadPool* pool) {
+  const bool per_kind = ids != nullptr;
   BatchResponse batch;
   std::vector<PlannedQuery> plan;
   std::array<bool, kNumChannelKinds> kind_used = {};
   std::array<Duration, kNumChannelKinds> kind_delay = {};
-  bool fault_mode = false;
-  bool down = false;
   bool track_last_good = false, bookkeep = false;
   std::vector<PendingTrace> pending;
   {
     std::lock_guard<std::mutex> lock(mu_);
     absorb_crashes_locked(now, &pending);
-    fault_mode = plan_ != nullptr;
+    const bool fault_mode = plan_ != nullptr;
+    bool down = false;
     if (fault_mode) {
       track_last_good = plan_->serves_stale();
       bookkeep = track_last_good || !pending_reset_.empty() ||
                  !reset_offset_.empty();
       down = plan_->has_campaign() && plan_->agent_down(name_, now);
     }
-    plan.reserve(ids.size());
-    for (const ElementId& id : ids) {
-      auto it = sources_.find(id);
-      if (it == sources_.end()) {
-        ++batch.unknown_ids;
-        continue;
-      }
+    auto add = [&plan](const ElementId& id, const StatsSource* src) {
       PlannedQuery q;
       q.id = id;
-      q.source = it->second;
-      q.kind = it->second->channel_kind();
-      // A kind whose breaker is open (and still cooling down) gets no round
-      // trip at all; its elements fast-fail cheaply in planning below.
-      const Breaker& br = breakers_[static_cast<size_t>(q.kind)];
-      const bool fast_fail = br.state == BreakerState::kOpen &&
-                             now - br.opened_at < breaker_cfg_.cooldown;
-      if (!fast_fail) kind_used[static_cast<size_t>(q.kind)] = true;
+      q.source = src;
+      q.kind = src->channel_kind();
       plan.push_back(std::move(q));
+    };
+    if (per_kind) {
+      plan.reserve(ids->size());
+      for (const ElementId& id : *ids) {
+        auto it = sources_.find(id);
+        if (it == sources_.end()) {
+          ++batch.unknown_ids;
+          continue;
+        }
+        add(id, it->second);
+        // A kind whose breaker is open (and still cooling down) gets no
+        // round trip at all; its elements fast-fail cheaply in planning.
+        const size_t k = static_cast<size_t>(plan.back().kind);
+        const bool fast_fail = breakers_[k].state == BreakerState::kOpen &&
+                               now - breakers_[k].opened_at <
+                                   breaker_cfg_.cooldown;
+        if (!fast_fail) kind_used[k] = true;
+      }
+      // One round trip per channel kind present, drawn in kind order so the
+      // RNG stream is independent of the requested id order and pool size.
+      for (size_t k = 0; k < kNumChannelKinds; ++k) {
+        if (!kind_used[k]) continue;
+        kind_delay[k] = channel_delay_locked(static_cast<ChannelKind>(k));
+        batch.channel_time += kind_delay[k];
+      }
+    } else {
+      plan.reserve(sources_.size());
+      for (const auto& [id, src] : sources_) add(id, src);
     }
-    // One round trip per channel kind present, drawn in kind order so the
-    // RNG stream is independent of the requested id order and pool size.
-    for (size_t k = 0; k < kNumChannelKinds; ++k) {
-      if (!kind_used[k]) continue;
-      kind_delay[k] = channel_delay_locked(static_cast<ChannelKind>(k));
-      batch.channel_time += kind_delay[k];
-    }
-  }
-  std::sort(plan.begin(), plan.end(),
-            [](const PlannedQuery& a, const PlannedQuery& b) {
-              return a.id < b.id;
-            });
-  {
+    std::sort(plan.begin(), plan.end(),
+              [](const PlannedQuery& a, const PlannedQuery& b) {
+                return a.id < b.id;
+              });
     // Fault decisions and retry chains, planned in element-id order before
-    // the fan-out.  The first attempt of each element rides its kind's
-    // shared round trip; retries pay their own trips on top.
-    std::lock_guard<std::mutex> lock(mu_);
+    // the fan-out.  Per kind, the first attempt of each element rides its
+    // kind's shared round trip and retries pay their own trips on top; per
+    // element, every attempt draws its own delay.
     for (PlannedQuery& q : plan) {
       const size_t k = static_cast<size_t>(q.kind);
       plan_outcome_locked(q, now, kind_used[k], kind_delay[k], down, &pending);
-      if (fault_mode && q.delay > kind_delay[k]) {
+      if (!per_kind) {
+        batch.channel_time += q.delay;
+      } else if (fault_mode && q.delay > kind_delay[k]) {
         batch.channel_time += q.delay - kind_delay[k];
       }
     }
@@ -531,129 +457,6 @@ BatchResponse Agent::query_batch(const std::vector<ElementId>& ids,
 
   batch.responses.resize(plan.size());
   std::vector<QueryResponse>& out = batch.responses;
-  parallel_for_or_inline(pool, plan.size(), [&](size_t i) {
-    PlannedQuery& q = plan[i];
-    QueryResponse& r = out[i];
-    r.response_time = q.delay;
-    r.quality = q.quality;
-    r.attempts = q.attempts;
-    if (q.failed) {
-      r.fail_code = q.fail_code;
-      // Blind spot: keep the element visible with an empty record.
-      r.record.timestamp = now;
-      r.record.element = q.id;
-      return;
-    }
-    if (q.serve_stale) {
-      r.record = std::move(q.stale_record);
-      return;
-    }
-    r.record = q.source->collect(now);
-    if (bookkeep) apply_fault_bookkeeping(q.id, r.record, track_last_good);
-    if (q.quality == DataQuality::kTorn) {
-      r.record = apply_torn_read(r.record, q.torn_salt);
-    }
-  });
-  for (const QueryResponse& r : batch.responses) {
-    if (r.quality != DataQuality::kFresh) ++batch.degraded;
-  }
-
-  // Merge step, sequential on the caller: self-profiling and tracing in
-  // deterministic (kind, then id) order — one histogram observe and one
-  // trace pair per channel round trip actually paid.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t k = 0; k < kNumChannelKinds; ++k) {
-      if (kind_used[k]) channel_hist_[k].observe(kind_delay[k].sec());
-    }
-  }
-  if (trace_enabled()) {
-    const ElementId batch_id{name_ + "/batch"};
-    // With an active trace context (a traced scatter above us — installed by
-    // the controller's fan-out worker or a remote server's serve loop), the
-    // batch also records its span subtree: one kSpanAgentBatch covering the
-    // slowest channel trip, one kSpanChannelTrip child per kind paid.
-    const TraceContext ctx = current_trace_context();
-    const uint64_t batch_span = ctx.active() ? next_span_id() : 0;
-    Duration slowest;
-    for (size_t k = 0; k < kNumChannelKinds; ++k) {
-      if (!kind_used[k]) continue;
-      size_t group = 0;
-      for (const PlannedQuery& q : plan) {
-        if (static_cast<size_t>(q.kind) == k) ++group;
-      }
-      trace_event(batch_id, now, TraceEventKind::kAgentQueryIssued,
-                  static_cast<double>(group),
-                  to_string(static_cast<ChannelKind>(k)));
-      trace_event(batch_id, now + kind_delay[k],
-                  TraceEventKind::kAgentQueryCompleted, kind_delay[k].us(),
-                  to_string(static_cast<ChannelKind>(k)));
-      if (ctx.active()) {
-        trace_span(batch_id, now, TraceEventKind::kSpanChannelTrip,
-                   kind_delay[k], next_span_id(), batch_span,
-                   static_cast<double>(group),
-                   to_string(static_cast<ChannelKind>(k)));
-        if (kind_delay[k] > slowest) slowest = kind_delay[k];
-      }
-    }
-    if (ctx.active()) {
-      trace_span(batch_id, now, TraceEventKind::kSpanAgentBatch, slowest,
-                 batch_span, ctx.span_id, static_cast<double>(plan.size()),
-                 name_);
-    }
-    // Blind spots must be visible in the flight recorder: unknown ids and
-    // non-fresh responses degrade the batch.
-    if (batch.unknown_ids > 0 || batch.degraded > 0) {
-      trace_event(batch_id, now, TraceEventKind::kAgentBatchDegraded,
-                  static_cast<double>(batch.unknown_ids + batch.degraded),
-                  "unknown or degraded elements");
-    }
-  }
-  return batch;
-}
-
-std::vector<QueryResponse> Agent::poll_all(SimTime now, ThreadPool* pool) {
-  std::vector<PlannedQuery> plan;
-  bool fault_mode = false;
-  bool down = false;
-  bool track_last_good = false, bookkeep = false;
-  std::vector<PendingTrace> pending;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    absorb_crashes_locked(now, &pending);
-    fault_mode = plan_ != nullptr;
-    if (fault_mode) {
-      track_last_good = plan_->serves_stale();
-      bookkeep = track_last_good || !pending_reset_.empty() ||
-                 !reset_offset_.empty();
-      down = plan_->has_campaign() && plan_->agent_down(name_, now);
-    }
-    plan.reserve(sources_.size());
-    for (const auto& [id, src] : sources_) {
-      PlannedQuery q;
-      q.id = id;
-      q.source = src;
-      q.kind = src->channel_kind();
-      plan.push_back(std::move(q));
-    }
-  }
-  std::sort(plan.begin(), plan.end(),
-            [](const PlannedQuery& a, const PlannedQuery& b) {
-              return a.id < b.id;
-            });
-  {
-    // Jitter (and, under a fault plan, fault decisions and backoff draws)
-    // consumed in element-id order, exactly as the sequential sweep consumed
-    // the RNG, so any pool size yields identical outcomes.
-    std::lock_guard<std::mutex> lock(mu_);
-    for (PlannedQuery& q : plan) {
-      plan_outcome_locked(q, now, /*shared_first=*/false, Duration{}, down,
-                          &pending);
-    }
-  }
-  emit_pending(pending);
-
-  std::vector<QueryResponse> out(plan.size());
   parallel_for_or_inline(pool, plan.size(), [&](size_t i) {
     PlannedQuery& q = plan[i];
     QueryResponse& r = out[i];
@@ -678,36 +481,85 @@ std::vector<QueryResponse> Agent::poll_all(SimTime now, ThreadPool* pool) {
       r.record = apply_torn_read(r.record, q.torn_salt);
     }
   });
+  for (const QueryResponse& r : batch.responses) {
+    if (r.quality != DataQuality::kFresh) ++batch.degraded;
+  }
 
-  // Deterministic merge: per-element self-profiling and trace events in
-  // element-id order, matching the sequential sweep event for event.
-  // Breaker fast-fails (attempts == 0) paid no channel time and are not
-  // observed.
+  // Merge step, sequential on the caller: one histogram observe and one
+  // trace pair per channel round trip actually paid, in deterministic order
+  // (kind order per kind, element-id order per element).  Breaker
+  // fast-fails (attempts == 0) paid no channel time and are not observed.
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const PlannedQuery& q : plan) {
-      if (q.attempts == 0) continue;
-      channel_hist_[static_cast<size_t>(q.kind)].observe(q.delay.sec());
+    if (per_kind) {
+      for (size_t k = 0; k < kNumChannelKinds; ++k) {
+        if (kind_used[k]) channel_hist_[k].observe(kind_delay[k].sec());
+      }
+    } else {
+      for (const PlannedQuery& q : plan) {
+        if (q.attempts == 0) continue;
+        channel_hist_[static_cast<size_t>(q.kind)].observe(q.delay.sec());
+      }
     }
   }
-  if (trace_enabled()) {
+  if (!trace_enabled()) return batch;
+  if (!per_kind) {
     for (const PlannedQuery& q : plan) {
+      if (q.attempts > 0) {
+        trace_event(q.id, now, TraceEventKind::kAgentQueryIssued, 0,
+                    to_string(q.kind));
+      }
       if (q.failed) {
-        if (q.attempts > 0) {
-          trace_event(q.id, now, TraceEventKind::kAgentQueryIssued, 0,
-                      to_string(q.kind));
-        }
         trace_event(q.id, now + q.delay, TraceEventKind::kAgentQueryFailed,
                     static_cast<double>(q.attempts), to_string(q.kind));
-        continue;
+      } else {
+        trace_event(q.id, now + q.delay, TraceEventKind::kAgentQueryCompleted,
+                    q.delay.us(), to_string(q.kind));
       }
-      trace_event(q.id, now, TraceEventKind::kAgentQueryIssued, 0,
-                  to_string(q.kind));
-      trace_event(q.id, now + q.delay, TraceEventKind::kAgentQueryCompleted,
-                  q.delay.us(), to_string(q.kind));
+    }
+    return batch;
+  }
+  const ElementId batch_id{name_ + "/batch"};
+  // With an active trace context (a traced scatter above us — installed by
+  // the controller's fan-out worker or a remote server's serve loop), the
+  // batch also records its span subtree: one kSpanAgentBatch covering the
+  // slowest channel trip, one kSpanChannelTrip child per kind paid.
+  const TraceContext ctx = current_trace_context();
+  const uint64_t batch_span = ctx.active() ? next_span_id() : 0;
+  Duration slowest;
+  for (size_t k = 0; k < kNumChannelKinds; ++k) {
+    if (!kind_used[k]) continue;
+    size_t group = 0;
+    for (const PlannedQuery& q : plan) {
+      if (static_cast<size_t>(q.kind) == k) ++group;
+    }
+    trace_event(batch_id, now, TraceEventKind::kAgentQueryIssued,
+                static_cast<double>(group),
+                to_string(static_cast<ChannelKind>(k)));
+    trace_event(batch_id, now + kind_delay[k],
+                TraceEventKind::kAgentQueryCompleted, kind_delay[k].us(),
+                to_string(static_cast<ChannelKind>(k)));
+    if (ctx.active()) {
+      trace_span(batch_id, now, TraceEventKind::kSpanChannelTrip,
+                 kind_delay[k], next_span_id(), batch_span,
+                 static_cast<double>(group),
+                 to_string(static_cast<ChannelKind>(k)));
+      if (kind_delay[k] > slowest) slowest = kind_delay[k];
     }
   }
-  return out;
+  if (ctx.active()) {
+    trace_span(batch_id, now, TraceEventKind::kSpanAgentBatch, slowest,
+               batch_span, ctx.span_id, static_cast<double>(plan.size()),
+               name_);
+  }
+  // Blind spots must be visible in the flight recorder: unknown ids and
+  // non-fresh responses degrade the batch.
+  if (batch.unknown_ids > 0 || batch.degraded > 0) {
+    trace_event(batch_id, now, TraceEventKind::kAgentBatchDegraded,
+                static_cast<double>(batch.unknown_ids + batch.degraded),
+                "unknown or degraded elements");
+  }
+  return batch;
 }
 
 }  // namespace perfsight

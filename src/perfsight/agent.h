@@ -11,12 +11,14 @@
 // behaviour can be studied in simulated time.
 //
 // Collection runtime (this layer's concurrency contract): the agent is
-// safe to use from multiple threads — registry/cache/RNG/histogram state is
-// guarded by one internal mutex, cache_hits_ is a relaxed atomic.  poll_all
-// and query_batch accept an optional ThreadPool and fan the element
-// collect() calls out across it; channel jitter is drawn *before* the
-// fan-out, in element-id order, and results are merged back by element id,
-// so their output is byte-identical at any pool size.  Element objects are
+// safe to use from multiple threads — registry/RNG/histogram state is
+// guarded by one internal mutex.  Every fetch is a batch: query_batch and
+// poll_all share one plan → fan-out → merge core and differ only in trip
+// accounting (one channel round trip per kind, or one per element).  Both
+// accept an optional ThreadPool and fan the element collect() calls out
+// across it; channel jitter is drawn *before* the fan-out, in element-id
+// order, and results are merged back by element id, so their output is
+// byte-identical at any pool size.  Element objects are
 // not owned: a remove_element racing an in-flight poll only deregisters the
 // element — the poll may still observe it once, and the caller must keep
 // the StatsSource alive until in-flight polls drain.
@@ -36,7 +38,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -70,14 +71,13 @@ struct QueryResponse {
   DataQuality quality = DataQuality::kFresh;
   uint32_t attempts = 1;  // channel attempts made (0: breaker fast-fail)
   // Why a kMissing response failed (meaningful only when quality is
-  // kMissing): batch callers reconstruct the exact Status the single-query
-  // path would have returned.
+  // kMissing): callers rebuild the Status with query_failure_status.
   StatusCode fail_code = StatusCode::kOk;
 };
 
-// The Status a failed element query surfaces, shared by the single-query
-// path and the controller's scatter-gather merge so both produce
-// byte-identical error messages.
+// The Status a failed element query surfaces, shared by query_attrs and
+// the controller's scatter-gather merge so both produce byte-identical
+// error messages.
 Status query_failure_status(const std::string& agent_name, const ElementId& id,
                             uint32_t attempts, StatusCode code);
 
@@ -132,8 +132,9 @@ const char* to_string(BreakerState s);
 // query_batch returns one response per *known* requested id in ascending
 // element-id order (unknown ids are counted, not returned), and failures
 // carry the attempts/fail_code a caller needs to reconstruct the exact
-// single-path Status via query_failure_status — so the controller merge is
-// byte-identical whichever implementation sits behind it.
+// Status via query_failure_status — so the controller merge is
+// byte-identical whichever implementation sits behind it.  query_batch is
+// the only fetch an implementation provides; query_attrs is a batch of one.
 //
 // Tracing: when the calling thread carries an active TraceContext
 // (trace.h), implementations record span events under it — the in-process
@@ -150,10 +151,12 @@ class AgentClient {
   virtual bool has_element(const ElementId& id) const = 0;
   virtual std::vector<ElementId> element_ids() const = 0;
 
-  // Fetches a projection of one element (the paper's GetAttr reaches this).
+  // Fetches a projection of one element: a batch of one, then project.  An
+  // unknown id is not_found; a kMissing answer is query_failure_status.
+  // Virtual only so a decorator can observe single fetches (perfbench's
+  // TimedAgent times them); agent implementations do not override it.
   virtual Result<QueryResponse> query_attrs(
-      const ElementId& id, const std::vector<std::string>& attrs,
-      SimTime now) = 0;
+      const ElementId& id, const std::vector<std::string>& attrs, SimTime now);
 
   // Batched fetch: one channel round trip per channel kind in the batch.
   // `pool` is advisory (in-process agents fan collect() out; a remote agent
@@ -202,24 +205,6 @@ class Agent : public AgentClient {
     return sources_.count(id) > 0;
   }
   std::vector<ElementId> element_ids() const override;
-
-  // Fetches all counters of one element.
-  Result<QueryResponse> query(const ElementId& id, SimTime now);
-
-  // Fetches a projection (the paper's GetAttr reaches this).
-  Result<QueryResponse> query_attrs(const ElementId& id,
-                                    const std::vector<std::string>& attrs,
-                                    SimTime now) override;
-
-  // Cached fetch: reuses the last record if it is no older than `max_age`,
-  // saving the channel round trip (response_time 0 on a hit).  Diagnosis
-  // sweeps that touch the same element repeatedly within a window use this
-  // to keep the per-query cost of Fig. 9 from multiplying.
-  Result<QueryResponse> query_cached(const ElementId& id, SimTime now,
-                                     Duration max_age);
-  uint64_t cache_hits() const {
-    return cache_hits_.load(std::memory_order_relaxed);
-  }
 
   // Batched fetch: one channel round trip amortized across every requested
   // element sharing a channel kind (a real agent reads one /proc file and
@@ -313,10 +298,17 @@ class Agent : public AgentClient {
     SimTime opened_at;
   };
 
+  // The shared core of query_batch (`ids` non-null: unknown ids counted,
+  // one round trip per channel kind) and poll_all (`ids` null: every
+  // element, one round trip per element).  Plans every outcome under mu_ in
+  // element-id order, fans collect() out over `pool`, then observes the
+  // channel histograms and emits trace events per trip actually paid.
+  BatchResponse collect(const std::vector<ElementId>* ids, SimTime now,
+                        ThreadPool* pool);
   Duration channel_delay_locked(ChannelKind kind);
-  void observe_channel(ChannelKind kind, Duration delay);
-  // Consumes crashes the plan scheduled since the last query: caches are
-  // lost, every element's counters restart from zero on its next collect.
+  // Consumes crashes the plan scheduled since the last query: last-good
+  // records are lost, every element's counters restart from zero on its
+  // next collect.
   void absorb_crashes_locked(SimTime now, std::vector<PendingTrace>* traces);
   // Models the full retry chain of one element query: fault decisions,
   // channel delays, backoff, budget clamp, breaker bookkeeping.  Must run
@@ -325,7 +317,7 @@ class Agent : public AgentClient {
   // drawing its own delay.  When `agent_down` is set (a scheduled campaign
   // window covers `now`), every attempt fails unavailable without
   // consulting the Bernoulli draw — delays, backoff and breakers behave as
-  // for real transient failures, so outcomes match in every query path.
+  // for real transient failures, so outcomes match in both trip modes.
   void plan_outcome_locked(PlannedQuery& q, SimTime now, bool shared_first,
                            Duration shared_delay, bool agent_down,
                            std::vector<PendingTrace>* traces);
@@ -338,11 +330,9 @@ class Agent : public AgentClient {
   void emit_pending(const std::vector<PendingTrace>& traces);
 
   std::string name_;
-  mutable std::mutex mu_;  // guards rng_, sources_, cache_, overrides, hists
+  mutable std::mutex mu_;  // guards rng_, sources_, overrides, hists
   Pcg32 rng_;
   std::unordered_map<ElementId, const StatsSource*> sources_;
-  std::unordered_map<ElementId, QueryResponse> cache_;
-  std::atomic<uint64_t> cache_hits_{0};
   std::array<ChannelLatencyModel, kNumChannelKinds> latency_override_ = {};
   std::array<bool, kNumChannelKinds> has_override_ = {};
   std::array<LatencyHistogram, kNumChannelKinds> channel_hist_ = {};

@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "perfsight/trace.h"
-#include "perfsight/wire.h"
 
 namespace perfsight {
 
@@ -14,6 +13,48 @@ namespace {
 const ElementId& controller_trace_id() {
   static const ElementId kId{"controller"};
   return kId;
+}
+
+// The Fig. 6 interval utilities: sample every id, advance one shared window,
+// sample again, then fold each element's two records.  A failed sample
+// surfaces its Status (the first sample's failure wins); `quality`, when
+// non-null, receives the worse of the two qualities (kMissing on failure).
+template <typename T, typename Fold>
+std::vector<Result<T>> two_sample(const Controller& c, TenantId tenant,
+                                  const std::vector<ElementId>& ids,
+                                  const std::vector<std::string>& attrs,
+                                  Duration window,
+                                  std::vector<DataQuality>* quality,
+                                  ThreadPool* pool, Fold fold) {
+  auto s1 = c.get_attr_many(tenant, ids, attrs, pool);
+  c.advance(window);
+  auto s2 = c.get_attr_many(tenant, ids, attrs, pool);
+  if (quality != nullptr) quality->assign(ids.size(), DataQuality::kMissing);
+  std::vector<Result<T>> out;
+  out.reserve(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (!s1[i].ok()) {
+      out.push_back(s1[i].status());
+      continue;
+    }
+    if (!s2[i].ok()) {
+      out.push_back(s2[i].status());
+      continue;
+    }
+    if (quality != nullptr) {
+      (*quality)[i] = worse(s1[i].value().quality, s2[i].value().quality);
+    }
+    out.push_back(fold(s1[i].value().record, s2[i].value().record));
+  }
+  return out;
+}
+
+// The single-element utilities are the many-element ones over one id.
+template <typename T>
+Result<T> first_of(std::vector<Result<T>> many,
+                   const std::vector<DataQuality>& q, DataQuality* quality) {
+  if (quality != nullptr) *quality = q.front();
+  return std::move(many.front());
 }
 }  // namespace
 
@@ -104,8 +145,7 @@ AgentClient* Controller::locate(TenantId tenant, const ElementId& id) const {
 void Controller::set_metrics(MetricsRegistry* m) {
   metrics_ = m;
   if (m == nullptr) {
-    m_queries_single_ = m_queries_batch_ = nullptr;
-    m_scatters_ = m_scatter_agents_ = nullptr;
+    m_queries_ = m_scatters_ = m_scatter_agents_ = nullptr;
     m_batch_channel_s_ = nullptr;
     return;
   }
@@ -113,14 +153,11 @@ void Controller::set_metrics(MetricsRegistry* m) {
   // vectors (not thread-safe), but the instruments themselves have stable
   // addresses, so the query paths only touch these pointers — under
   // cost_mu_.
-  m_queries_single_ =
-      &m->counter("perfsight_controller_queries_total",
-                  "Element queries the controller issued", "path=\"single\"");
-  m_queries_batch_ =
+  m_queries_ =
       &m->counter("perfsight_controller_queries_total",
                   "Element queries the controller issued", "path=\"batch\"");
   m_scatters_ = &m->counter("perfsight_controller_batch_scatters_total",
-                            "Multi-element queries fanned out as batches");
+                            "Controller queries fanned out as agent batches");
   m_scatter_agents_ =
       &m->counter("perfsight_controller_batch_agents_total",
                   "Per-agent batches issued by scatter-gather fan-outs");
@@ -129,53 +166,10 @@ void Controller::set_metrics(MetricsRegistry* m) {
                     "Modelled channel time per scatter-gather fan-out");
 }
 
-void Controller::account(uint64_t queries, Duration channel_time,
-                         bool batch) const {
-  std::lock_guard<std::mutex> lock(cost_mu_);
-  queries_issued_ += queries;
-  channel_time_ns_ += channel_time.ns();
-  if (batch) {
-    if (m_queries_batch_ != nullptr) m_queries_batch_->add(queries);
-    if (m_scatters_ != nullptr) m_scatters_->increment();
-    if (m_batch_channel_s_ != nullptr) {
-      m_batch_channel_s_->observe(static_cast<double>(channel_time.ns()) /
-                                  1e9);
-    }
-  } else {
-    if (m_queries_single_ != nullptr) m_queries_single_->add(queries);
-  }
-}
-
 Result<Controller::QualifiedRecord> Controller::get_attr_q(
     TenantId tenant, const ElementId& id,
     const std::vector<std::string>& attrs) const {
-  AgentClient* agent = locate(tenant, id);
-  if (agent == nullptr) {
-    return Status::not_found("no agent serves element " + id.name);
-  }
-  Result<QueryResponse> resp = agent->query_attrs(id, attrs, now_());
-  if (!resp.ok()) {
-    // Quorum fallback: a collection failure (not a config error) on a
-    // mirrored element earns one read from the replica before the blind
-    // spot stands.  The answer is annotated kReplica; a double failure
-    // re-raises the PRIMARY's Status so unmirrored and double-failed runs
-    // are byte-identical.
-    if (resp.status().code() != StatusCode::kNotFound) {
-      AgentClient* mirror = mirror_of(tenant, id);
-      if (mirror != nullptr) {
-        Result<QueryResponse> mr = mirror->query_attrs(id, attrs, now_());
-        if (mr.ok()) {
-          account(1, mr.value().response_time, /*batch=*/false);
-          return QualifiedRecord{
-              mr.value().record,
-              worse(DataQuality::kReplica, mr.value().quality)};
-        }
-      }
-    }
-    return resp.status();
-  }
-  account(1, resp.value().response_time, /*batch=*/false);
-  return QualifiedRecord{resp.value().record, resp.value().quality};
+  return std::move(scatter_gather(tenant, {id}, attrs, pool_).front());
 }
 
 Result<StatsRecord> Controller::get_attr(
@@ -190,62 +184,24 @@ Result<DataRate> Controller::get_throughput(TenantId tenant,
                                             const ElementId& id,
                                             Duration window,
                                             DataQuality* quality) const {
-  std::vector<std::string> attrs{attr::kTxBytes};
-  Result<QualifiedRecord> s1 = get_attr_q(tenant, id, attrs);
-  if (!s1.ok()) return s1.status();
-  advance_(window);
-  Result<QualifiedRecord> s2 = get_attr_q(tenant, id, attrs);
-  if (!s2.ok()) return s2.status();
-  if (quality != nullptr) *quality = worse(s1.value().quality,
-                                           s2.value().quality);
-  double b1 = s1.value().record.get_or(attr::kTxBytes, 0);
-  double b2 = s2.value().record.get_or(attr::kTxBytes, 0);
-  Duration dt = s2.value().record.timestamp - s1.value().record.timestamp;
-  return rate_of(static_cast<uint64_t>(std::max(0.0, b2 - b1)), dt);
+  std::vector<DataQuality> q;
+  return first_of(get_throughput_many(tenant, {id}, window, &q), q, quality);
 }
 
 Result<int64_t> Controller::get_pkt_loss(TenantId tenant, const ElementId& id,
                                          Duration window,
                                          DataQuality* quality) const {
-  std::vector<std::string> attrs{attr::kRxPkts, attr::kTxPkts,
-                                 attr::kDropPkts};
-  Result<QualifiedRecord> s1 = get_attr_q(tenant, id, attrs);
-  if (!s1.ok()) return s1.status();
-  advance_(window);
-  Result<QualifiedRecord> s2 = get_attr_q(tenant, id, attrs);
-  if (!s2.ok()) return s2.status();
-  if (quality != nullptr) *quality = worse(s1.value().quality,
-                                           s2.value().quality);
-
-  const StatsRecord& r1 = s1.value().record;
-  const StatsRecord& r2 = s2.value().record;
-  if (r1.get(attr::kDropPkts) && r2.get(attr::kDropPkts)) {
-    return static_cast<int64_t>(*r2.get(attr::kDropPkts) -
-                                *r1.get(attr::kDropPkts));
-  }
-  double d1 = r1.get_or(attr::kRxPkts, 0) - r1.get_or(attr::kTxPkts, 0);
-  double d2 = r2.get_or(attr::kRxPkts, 0) - r2.get_or(attr::kTxPkts, 0);
-  return static_cast<int64_t>(d2 - d1);
+  std::vector<DataQuality> q;
+  return first_of(get_pkt_loss_many(tenant, {id}, window, &q), q, quality);
 }
 
 Result<double> Controller::get_avg_pkt_size(TenantId tenant,
                                             const ElementId& id,
                                             Duration window,
                                             DataQuality* quality) const {
-  std::vector<std::string> attrs{attr::kTxBytes, attr::kTxPkts};
-  Result<QualifiedRecord> s1 = get_attr_q(tenant, id, attrs);
-  if (!s1.ok()) return s1.status();
-  advance_(window);
-  Result<QualifiedRecord> s2 = get_attr_q(tenant, id, attrs);
-  if (!s2.ok()) return s2.status();
-  if (quality != nullptr) *quality = worse(s1.value().quality,
-                                           s2.value().quality);
-  double db = s2.value().record.get_or(attr::kTxBytes, 0) -
-              s1.value().record.get_or(attr::kTxBytes, 0);
-  double dp = s2.value().record.get_or(attr::kTxPkts, 0) -
-              s1.value().record.get_or(attr::kTxPkts, 0);
-  if (dp <= 0) return 0.0;
-  return db / dp;
+  std::vector<DataQuality> q;
+  return first_of(get_avg_pkt_size_many(tenant, {id}, window, &q), q,
+                  quality);
 }
 
 // --- scatter-gather ---------------------------------------------------------
@@ -265,30 +221,30 @@ std::vector<Result<Controller::QualifiedRecord>> Controller::scatter_gather(
     std::unordered_map<ElementId, std::vector<size_t>> slots;
     std::vector<ElementId> sorted_ids;
   };
-  std::vector<Group> groups;
-  std::unordered_map<AgentClient*, size_t> group_of;
+  struct Round {
+    std::vector<Group> groups;
+    std::unordered_map<AgentClient*, size_t> group_of;
+    void add(AgentClient* agent, const ElementId& id, size_t slot) {
+      auto [it, fresh] = group_of.try_emplace(agent, groups.size());
+      if (fresh) {
+        groups.emplace_back();
+        groups.back().agent = agent;
+      }
+      groups[it->second].slots[id].push_back(slot);
+    }
+  };
+  Round primary;
   for (size_t i = 0; i < ids.size(); ++i) {
     AgentClient* agent = locate(tenant, ids[i]);
     if (agent == nullptr) {
       out[i] = Status::not_found("no agent serves element " + ids[i].name);
       continue;
     }
-    auto [it, fresh] = group_of.try_emplace(agent, groups.size());
-    if (fresh) {
-      groups.emplace_back();
-      groups.back().agent = agent;
-    }
-    groups[it->second].slots[ids[i]].push_back(i);
-  }
-  for (Group& g : groups) {
-    g.sorted_ids.reserve(g.slots.size());
-    for (const auto& [id, slots] : g.slots) g.sorted_ids.push_back(id);
-    std::sort(g.sorted_ids.begin(), g.sorted_ids.end());
+    primary.add(agent, ids[i], i);
   }
 
   // One timestamp for the whole fan-out: every per-agent batch samples the
-  // same instant, exactly like the sequential loop (which cannot advance
-  // time between queries either — only the interval utilities advance).
+  // same instant (only the interval utilities advance time).
   const SimTime now = now_();
   trace_event(controller_trace_id(), now, TraceEventKind::kControllerScatter,
               static_cast<double>(ids.size()), "scatter");
@@ -301,43 +257,36 @@ std::vector<Result<Controller::QualifiedRecord>> Controller::scatter_gather(
   const TraceContext scatter_ctx =
       traced ? TraceContext{next_span_id(), next_span_id()} : TraceContext{};
 
-  // Fan the agents out over the pool.  query_batch gets no pool of its own:
-  // a worker blocking inside a nested parallel_for on the same pool can
-  // deadlock, and the per-agent batch is already one channel round trip per
-  // kind — the win is agent-level parallelism.
-  std::vector<BatchResponse> br(groups.size());
-  parallel_for_or_inline(pool, groups.size(), [&](size_t gi) {
-    ScopedTraceContext span_ctx(scatter_ctx);
-    br[gi] = groups[gi].agent->query_batch(groups[gi].sorted_ids, now);
-  });
-
-  // Optionally round-trip each batch through the wire codec, exactly as a
-  // remote controller would receive it.  The loopback is lossless (no
-  // damage model here — that is wire_test's job), so decode must succeed
-  // and the merge below is unchanged.
-  if (wire_loopback_) {
-    for (BatchResponse& b : br) {
-      Result<std::string> bytes = wire::encode_batch(b);
-      PS_CHECK(bytes.ok());
-      wire::DecodeStats st;
-      Result<BatchResponse> decoded = wire::decode_batch(bytes.value(), &st);
-      PS_CHECK(decoded.ok() && st.complete());
-      b = std::move(decoded).take();
+  // Fan a round's agents out over the pool.  query_batch gets no pool of
+  // its own: a worker blocking inside a nested parallel_for on the same
+  // pool can deadlock, and the per-agent batch is already one channel
+  // round trip per kind — the win is agent-level parallelism.
+  auto fan_out = [&](std::vector<Group>& groups) {
+    for (Group& g : groups) {
+      g.sorted_ids.reserve(g.slots.size());
+      for (const auto& [id, slots] : g.slots) g.sorted_ids.push_back(id);
+      std::sort(g.sorted_ids.begin(), g.sorted_ids.end());
     }
-  }
+    std::vector<BatchResponse> br(groups.size());
+    parallel_for_or_inline(pool, groups.size(), [&](size_t gi) {
+      ScopedTraceContext span_ctx(scatter_ctx);
+      br[gi] = groups[gi].agent->query_batch(groups[gi].sorted_ids, now);
+    });
+    return br;
+  };
+  const std::vector<Group>& groups = primary.groups;
+  const std::vector<BatchResponse> br = fan_out(primary.groups);
 
   // Gather: merge per-agent responses back into input slots, sequentially,
   // in group order.  Response lists are ascending by element id; ids absent
-  // from a list were unknown to the agent and surface with the exact Status
-  // text Agent::query would have produced.
+  // from a list were unknown to the agent and surface as not_found.
   uint64_t ok_slots = 0;
   size_t served = 0;
   Duration total_channel;
   // Quorum second round: kMissing slots whose element has a registered
   // replica are collected per mirror agent and retried below, before their
   // blind spots stand.
-  std::vector<Group> mgroups;
-  std::unordered_map<AgentClient*, size_t> mgroup_of;
+  Round replica;
   for (size_t gi = 0; gi < groups.size(); ++gi) {
     const Group& g = groups[gi];
     const std::vector<QueryResponse>& resp = br[gi].responses;
@@ -355,22 +304,15 @@ std::vector<Result<Controller::QualifiedRecord>> Controller::scatter_gather(
       const QueryResponse& r = resp[ri];
       ++ri;
       if (r.quality == DataQuality::kMissing) {
-        // Retries exhausted / budget hit / breaker open: reconstruct the
-        // Status the single-query path returns for this failure.  It stays
-        // the answer unless a replica can serve the element below.
+        // Retries exhausted / budget hit / breaker open / departed: the
+        // failure's Status stays the answer unless a replica can serve the
+        // element below.
         Status fail =
             query_failure_status(g.agent->name(), id, r.attempts, r.fail_code);
         for (size_t s : slots) out[s] = fail;
-        if (!mirror_.empty()) {
-          AgentClient* mirror = mirror_of(tenant, id);
-          if (mirror != nullptr) {
-            auto [mit, mfresh] = mgroup_of.try_emplace(mirror, mgroups.size());
-            if (mfresh) {
-              mgroups.emplace_back();
-              mgroups.back().agent = mirror;
-            }
-            for (size_t s : slots) mgroups[mit->second].slots[id].push_back(s);
-          }
+        AgentClient* mirror = mirror_.empty() ? nullptr : mirror_of(tenant, id);
+        if (mirror != nullptr) {
+          for (size_t s : slots) replica.add(mirror, id, s);
         }
         continue;
       }
@@ -387,17 +329,9 @@ std::vector<Result<Controller::QualifiedRecord>> Controller::scatter_gather(
   // agent, fanned over the pool, merged by ascending element id.  A replica
   // answer replaces the blind spot annotated kReplica; a replica failure
   // leaves the primary's Status in place (byte-identical to no mirror).
+  const std::vector<Group>& mgroups = replica.groups;
   if (!mgroups.empty()) {
-    for (Group& g : mgroups) {
-      g.sorted_ids.reserve(g.slots.size());
-      for (const auto& [id, slots] : g.slots) g.sorted_ids.push_back(id);
-      std::sort(g.sorted_ids.begin(), g.sorted_ids.end());
-    }
-    std::vector<BatchResponse> mbr(mgroups.size());
-    parallel_for_or_inline(pool, mgroups.size(), [&](size_t gi) {
-      ScopedTraceContext span_ctx(scatter_ctx);
-      mbr[gi] = mgroups[gi].agent->query_batch(mgroups[gi].sorted_ids, now);
-    });
+    const std::vector<BatchResponse> mbr = fan_out(replica.groups);
     for (size_t gi = 0; gi < mgroups.size(); ++gi) {
       const Group& g = mgroups[gi];
       const std::vector<QueryResponse>& resp = mbr[gi].responses;
@@ -420,11 +354,18 @@ std::vector<Result<Controller::QualifiedRecord>> Controller::scatter_gather(
     }
   }
 
-  account(ok_slots, total_channel, /*batch=*/true);
   {
     std::lock_guard<std::mutex> lock(cost_mu_);
+    queries_issued_ += ok_slots;
+    channel_time_ns_ += total_channel.ns();
+    if (m_queries_ != nullptr) m_queries_->add(ok_slots);
+    if (m_scatters_ != nullptr) m_scatters_->increment();
     if (m_scatter_agents_ != nullptr) {
       m_scatter_agents_->add(groups.size() + mgroups.size());
+    }
+    if (m_batch_channel_s_ != nullptr) {
+      m_batch_channel_s_->observe(static_cast<double>(total_channel.ns()) /
+                                  1e9);
     }
   }
   trace_event(controller_trace_id(), now, TraceEventKind::kControllerGather,
@@ -443,16 +384,7 @@ std::vector<Result<Controller::QualifiedRecord>> Controller::scatter_gather(
 std::vector<Result<Controller::QualifiedRecord>> Controller::get_attr_many(
     TenantId tenant, const std::vector<ElementId>& ids,
     const std::vector<std::string>& attrs, ThreadPool* pool_override) const {
-  // The sequential per-element loop is the oracle the differential suite
-  // holds the scatter-gather path to; batching off selects it explicitly.
-  if (!batching_ || ids.size() <= 1) {
-    std::vector<Result<QualifiedRecord>> out;
-    out.reserve(ids.size());
-    for (const ElementId& id : ids) {
-      out.push_back(get_attr_q(tenant, id, attrs));
-    }
-    return out;
-  }
+  if (ids.empty()) return {};  // nothing to fetch: no scatter counted or traced
   return scatter_gather(tenant, ids, attrs,
                         pool_override != nullptr ? pool_override : pool_);
 }
@@ -460,106 +392,49 @@ std::vector<Result<Controller::QualifiedRecord>> Controller::get_attr_many(
 std::vector<Result<DataRate>> Controller::get_throughput_many(
     TenantId tenant, const std::vector<ElementId>& ids, Duration window,
     std::vector<DataQuality>* quality, ThreadPool* pool_override) const {
-  std::vector<std::string> attrs{attr::kTxBytes};
-  auto s1 = get_attr_many(tenant, ids, attrs, pool_override);
-  advance_(window);
-  auto s2 = get_attr_many(tenant, ids, attrs, pool_override);
-  if (quality != nullptr) {
-    quality->assign(ids.size(), DataQuality::kMissing);
-  }
-  std::vector<Result<DataRate>> out;
-  out.reserve(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (!s1[i].ok()) {
-      out.push_back(s1[i].status());
-      continue;
-    }
-    if (!s2[i].ok()) {
-      out.push_back(s2[i].status());
-      continue;
-    }
-    if (quality != nullptr) {
-      (*quality)[i] = worse(s1[i].value().quality, s2[i].value().quality);
-    }
-    double b1 = s1[i].value().record.get_or(attr::kTxBytes, 0);
-    double b2 = s2[i].value().record.get_or(attr::kTxBytes, 0);
-    Duration dt =
-        s2[i].value().record.timestamp - s1[i].value().record.timestamp;
-    out.push_back(rate_of(static_cast<uint64_t>(std::max(0.0, b2 - b1)), dt));
-  }
-  return out;
+  return two_sample<DataRate>(
+      *this, tenant, ids, {attr::kTxBytes}, window, quality, pool_override,
+      [](const StatsRecord& r1, const StatsRecord& r2) {
+        const double db =
+            r2.get_or(attr::kTxBytes, 0) - r1.get_or(attr::kTxBytes, 0);
+        return rate_of(static_cast<uint64_t>(std::max(0.0, db)),
+                       r2.timestamp - r1.timestamp);
+      });
 }
 
 std::vector<Result<int64_t>> Controller::get_pkt_loss_many(
     TenantId tenant, const std::vector<ElementId>& ids, Duration window,
     std::vector<DataQuality>* quality, ThreadPool* pool_override) const {
-  std::vector<std::string> attrs{attr::kRxPkts, attr::kTxPkts,
-                                 attr::kDropPkts};
-  auto s1 = get_attr_many(tenant, ids, attrs, pool_override);
-  advance_(window);
-  auto s2 = get_attr_many(tenant, ids, attrs, pool_override);
-  if (quality != nullptr) {
-    quality->assign(ids.size(), DataQuality::kMissing);
-  }
-  std::vector<Result<int64_t>> out;
-  out.reserve(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (!s1[i].ok()) {
-      out.push_back(s1[i].status());
-      continue;
-    }
-    if (!s2[i].ok()) {
-      out.push_back(s2[i].status());
-      continue;
-    }
-    if (quality != nullptr) {
-      (*quality)[i] = worse(s1[i].value().quality, s2[i].value().quality);
-    }
-    const StatsRecord& r1 = s1[i].value().record;
-    const StatsRecord& r2 = s2[i].value().record;
-    if (r1.get(attr::kDropPkts) && r2.get(attr::kDropPkts)) {
-      out.push_back(static_cast<int64_t>(*r2.get(attr::kDropPkts) -
-                                         *r1.get(attr::kDropPkts)));
-      continue;
-    }
-    double d1 = r1.get_or(attr::kRxPkts, 0) - r1.get_or(attr::kTxPkts, 0);
-    double d2 = r2.get_or(attr::kRxPkts, 0) - r2.get_or(attr::kTxPkts, 0);
-    out.push_back(static_cast<int64_t>(d2 - d1));
-  }
-  return out;
+  return two_sample<int64_t>(
+      *this, tenant, ids, {attr::kRxPkts, attr::kTxPkts, attr::kDropPkts},
+      window, quality, pool_override,
+      [](const StatsRecord& r1, const StatsRecord& r2) {
+        // An explicit drop counter is more precise than the paper's in-out
+        // delta when queues are draining or filling.
+        if (r1.get(attr::kDropPkts) && r2.get(attr::kDropPkts)) {
+          return static_cast<int64_t>(*r2.get(attr::kDropPkts) -
+                                      *r1.get(attr::kDropPkts));
+        }
+        const double d1 =
+            r1.get_or(attr::kRxPkts, 0) - r1.get_or(attr::kTxPkts, 0);
+        const double d2 =
+            r2.get_or(attr::kRxPkts, 0) - r2.get_or(attr::kTxPkts, 0);
+        return static_cast<int64_t>(d2 - d1);
+      });
 }
 
 std::vector<Result<double>> Controller::get_avg_pkt_size_many(
     TenantId tenant, const std::vector<ElementId>& ids, Duration window,
     std::vector<DataQuality>* quality, ThreadPool* pool_override) const {
-  std::vector<std::string> attrs{attr::kTxBytes, attr::kTxPkts};
-  auto s1 = get_attr_many(tenant, ids, attrs, pool_override);
-  advance_(window);
-  auto s2 = get_attr_many(tenant, ids, attrs, pool_override);
-  if (quality != nullptr) {
-    quality->assign(ids.size(), DataQuality::kMissing);
-  }
-  std::vector<Result<double>> out;
-  out.reserve(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (!s1[i].ok()) {
-      out.push_back(s1[i].status());
-      continue;
-    }
-    if (!s2[i].ok()) {
-      out.push_back(s2[i].status());
-      continue;
-    }
-    if (quality != nullptr) {
-      (*quality)[i] = worse(s1[i].value().quality, s2[i].value().quality);
-    }
-    double db = s2[i].value().record.get_or(attr::kTxBytes, 0) -
-                s1[i].value().record.get_or(attr::kTxBytes, 0);
-    double dp = s2[i].value().record.get_or(attr::kTxPkts, 0) -
-                s1[i].value().record.get_or(attr::kTxPkts, 0);
-    out.push_back(dp <= 0 ? 0.0 : db / dp);
-  }
-  return out;
+  return two_sample<double>(
+      *this, tenant, ids, {attr::kTxBytes, attr::kTxPkts}, window, quality,
+      pool_override, [](const StatsRecord& r1, const StatsRecord& r2) {
+        const double db =
+            r2.get_or(attr::kTxBytes, 0) - r1.get_or(attr::kTxBytes, 0);
+        const double dp =
+            r2.get_or(attr::kTxPkts, 0) - r1.get_or(attr::kTxPkts, 0);
+        return dp <= 0 ? 0.0 : db / dp;
+      });
 }
 
 }  // namespace perfsight

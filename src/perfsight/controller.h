@@ -48,8 +48,8 @@ class Controller {
 
   // Declares `agent` a read replica for a tenant's element (quorum reads):
   // when the primary fails — retries exhausted, breaker open, transport
-  // lost, element departed — get_attr_q and the scatter-gather merge ask
-  // the replica before declaring a blind spot.  A replica answer is
+  // lost, element departed — the scatter-gather merge asks the replica
+  // before declaring a blind spot.  A replica answer is
   // annotated DataQuality::kReplica so coverage reports distinguish it from
   // a fresh primary read; a double failure keeps the PRIMARY's failure
   // Status (byte-identical to the unmirrored run).  The replica must serve
@@ -96,19 +96,6 @@ class Controller {
   // the registry's family vectors; not owned.
   void set_metrics(MetricsRegistry* m);
 
-  // Batching toggle: with batching off, get_attr_many degrades to the
-  // sequential per-element loop — the oracle the differential test suite
-  // compares the scatter-gather path against.  Defaults to on.
-  void set_batching(bool on) { batching_ = on; }
-  bool batching() const { return batching_; }
-
-  // Round-trips every per-agent BatchResponse through the length-prefixed
-  // wire codec (wire.h) before merging, exactly as a remote controller
-  // would receive it.  The codec is lossless, so output is unchanged —
-  // which is the point: tests prove the socket-ready framing preserves the
-  // byte-identical contract.
-  void set_wire_loopback(bool on) { wire_loopback_ = on; }
-
   // --- self-profiling --------------------------------------------------------
   // Cumulative cost of the queries this controller has issued: how many,
   // and how much modelled channel time they spent (the per-query latencies
@@ -137,7 +124,7 @@ class Controller {
     DataQuality quality = DataQuality::kFresh;
   };
 
-  // GETATTR(tenantID, elementID, attributes)
+  // GETATTR(tenantID, elementID, attributes): a scatter-gather of one.
   Result<StatsRecord> get_attr(TenantId tenant, const ElementId& id,
                                const std::vector<std::string>& attrs) const;
   // As get_attr, but carries the per-record DataQuality so diagnosis layers
@@ -146,9 +133,10 @@ class Controller {
                                      const std::vector<std::string>& attrs)
       const;
 
-  // The interval utilities take two samples; when `quality` is non-null it
-  // receives the worse of the two samples' qualities (worst-case honesty:
-  // a rate computed from one stale endpoint is itself stale).
+  // The interval utilities take two samples (the _many versions over one
+  // id); when `quality` is non-null it receives the worse of the two
+  // samples' qualities (worst-case honesty: a rate computed from one stale
+  // endpoint is itself stale), kMissing when a sample failed.
 
   // GETTHROUGHPUT: output rate of the element over window T.
   Result<DataRate> get_throughput(TenantId tenant, const ElementId& id,
@@ -169,21 +157,21 @@ class Controller {
 
   // --- scatter-gather fan-ins ----------------------------------------------
   // GETATTR over many elements at once: groups the ids by owning agent,
-  // issues one Agent::query_batch per agent (amortising channel round trips
-  // per kind), fans the agents out over the pool, and merges the responses
-  // back into input order.  Output is byte-identical to calling get_attr_q
-  // per element: same records, same qualities, same Status text for
-  // failures.  `pool_override`, when non-null, wins over set_pool (detectors
-  // pass their own pool through).
+  // issues one AgentClient::query_batch per agent (amortising channel round
+  // trips per kind), fans the agents out over the pool, and merges the
+  // responses back into input order.  Output is byte-identical to a
+  // per-element GetAttr loop: same records, same qualities, same Status
+  // text for failures.  `pool_override`, when non-null, wins over set_pool
+  // (detectors pass their own pool through).
   std::vector<Result<QualifiedRecord>> get_attr_many(
       TenantId tenant, const std::vector<ElementId>& ids,
       const std::vector<std::string>& attrs,
       ThreadPool* pool_override = nullptr) const;
 
   // Interval utilities over many elements: two batched sweeps around one
-  // shared window advance.  Per-element math and failure text match the
-  // single-element versions exactly; `quality`, when non-null, receives one
-  // entry per id (worse of the two samples; kMissing for failed elements).
+  // shared window advance, then per-element math.  `quality`, when
+  // non-null, receives one entry per id (worse of the two samples; kMissing
+  // for failed elements).
   std::vector<Result<DataRate>> get_throughput_many(
       TenantId tenant, const std::vector<ElementId>& ids, Duration window,
       std::vector<DataQuality>* quality = nullptr,
@@ -201,11 +189,10 @@ class Controller {
   AgentClient* locate(TenantId tenant, const ElementId& id) const;
   // The registered read replica, or null.
   AgentClient* mirror_of(TenantId tenant, const ElementId& id) const;
-  // The scatter-gather core: one Result per id, in input order.
+  // The one collection path: one Result per id, in input order.
   std::vector<Result<QualifiedRecord>> scatter_gather(
       TenantId tenant, const std::vector<ElementId>& ids,
       const std::vector<std::string>& attrs, ThreadPool* pool) const;
-  void account(uint64_t queries, Duration channel_time, bool batch) const;
 
   AdvanceFn advance_;
   NowFn now_;
@@ -216,15 +203,12 @@ class Controller {
   mutable uint64_t queries_issued_ = 0;
   mutable int64_t channel_time_ns_ = 0;
   ThreadPool* pool_ = nullptr;
-  bool batching_ = true;
-  bool wire_loopback_ = false;
   MetricsRegistry* metrics_ = nullptr;
   // Instruments cached at set_metrics time: creation mutates the registry's
   // family vectors (not thread-safe), but the instruments themselves have
   // stable addresses, so the hot paths only ever touch these pointers —
   // under cost_mu_.
-  MetricsRegistry::CounterMetric* m_queries_single_ = nullptr;
-  MetricsRegistry::CounterMetric* m_queries_batch_ = nullptr;
+  MetricsRegistry::CounterMetric* m_queries_ = nullptr;
   MetricsRegistry::CounterMetric* m_scatters_ = nullptr;
   MetricsRegistry::CounterMetric* m_scatter_agents_ = nullptr;
   LatencyHistogram* m_batch_channel_s_ = nullptr;

@@ -455,41 +455,6 @@ bool RemoteAgentServer::handle_message(Conn& c, const wire::Message& msg) {
       if (trace_id != 0) c.wbuf += trace_data_bytes(agent->name());
       return true;
     }
-    case wire::MessageKind::kSingleRequest: {
-      Result<wire::SingleRequestMsg> req =
-          wire::decode_single_request(msg.body);
-      if (!req.ok()) return false;
-      Agent* agent = route(req.value().agent);
-      if (agent == nullptr) return false;
-      const uint64_t trace_id = req.value().trace_id;
-      const int64_t serve_t0 = clock_ns();
-      const uint64_t serve_span =
-          trace_id != 0 ? next_span_id(span_domain_for(agent->name())) : 0;
-      Result<QueryResponse> r = agent->query_attrs(
-          req.value().id, req.value().attrs, req.value().now);
-      if (trace_id != 0) {
-        // Recorded but not piggybacked: the single-response path stays
-        // lean, and the next harvest (or traced batch) ships it.
-        trace_recorder_.record_span(
-            ElementId{agent->name() + "/serve"}, SimTime::nanos(serve_t0),
-            TraceEventKind::kSpanServerSingle,
-            Duration::nanos(clock_ns() - serve_t0), serve_span,
-            req.value().parent_span, 1.0, req.value().id.name);
-      }
-      if (r.ok()) {
-        Result<std::string> frame = wire::encode_frame(r.value());
-        PS_CHECK(frame.ok());
-        c.wbuf += wire::encode_message(wire::MessageKind::kSingleResponse,
-                                       frame.value());
-      } else {
-        // The Status travels verbatim: the adapter re-raises the exact
-        // text the in-process path produced.
-        c.wbuf += wire::encode_message(
-            wire::MessageKind::kError,
-            wire::encode_error({r.status().code(), r.status().message()}));
-      }
-      return true;
-    }
     case wire::MessageKind::kListElements:
       c.wbuf += hello_bytes();
       return true;
@@ -1010,71 +975,6 @@ BatchResponse RemoteAgent::query_batch(const std::vector<ElementId>& ids,
   trace_event(transport_trace_id(), now, TraceEventKind::kTransportDamaged,
               lost, name_);
   return finish_batch_locked(std::move(out), departed_hit, now);
-}
-
-Result<QueryResponse> RemoteAgent::query_attrs(
-    const ElementId& id, const std::vector<std::string>& attrs, SimTime now) {
-  std::lock_guard<std::mutex> lock(mu_);
-
-  // Departed at a reconnect: fail fast with the departure status — the
-  // roster is the authority, no dial or channel attempt is owed.
-  if (departed_.count(id) > 0) {
-    return query_failure_status(name_, id, 1, StatusCode::kFailedPrecondition);
-  }
-
-  Status st = ensure_connected_locked(now);
-  if (!st.is_ok()) {
-    return query_failure_status(name_, id, 1, StatusCode::kUnavailable);
-  }
-
-  const TraceContext ctx = current_trace_context();
-  const std::string request = wire::encode_message(
-      wire::MessageKind::kSingleRequest,
-      wire::encode_single_request(
-          {now, id, attrs, ctx.trace_id, ctx.span_id, bind_}));
-
-  Result<std::string> raw = Status::unavailable("unsent");
-  for (int attempt = 0;; ++attempt) {
-    Status sent = sock_.send_all(request, deadline_);
-    if (sent.is_ok()) {
-      raw = transport::read_message_bytes(sock_, deadline_);
-      if (raw.ok()) break;
-    }
-    drop_connection_locked();
-    if (attempt >= 1) {
-      return query_failure_status(name_, id, 1, StatusCode::kUnavailable);
-    }
-    Status re = ensure_connected_locked(now);
-    if (!re.is_ok()) {
-      return query_failure_status(name_, id, 1, StatusCode::kUnavailable);
-    }
-  }
-
-  Result<wire::Message> msg = wire::decode_message(raw.value());
-  if (!msg.ok()) {
-    drop_connection_locked();
-    return query_failure_status(name_, id, 1, StatusCode::kUnavailable);
-  }
-  if (msg.value().kind == wire::MessageKind::kError) {
-    Result<wire::ErrorMsg> err = wire::decode_error(msg.value().body);
-    if (!err.ok()) {
-      drop_connection_locked();
-      return query_failure_status(name_, id, 1, StatusCode::kUnavailable);
-    }
-    // The exact Status the in-process path produced, re-raised verbatim.
-    return Status(err.value().code, err.value().message);
-  }
-  if (msg.value().kind != wire::MessageKind::kSingleResponse) {
-    drop_connection_locked();
-    return query_failure_status(name_, id, 1, StatusCode::kUnavailable);
-  }
-  size_t consumed = 0;
-  Result<QueryResponse> r = wire::decode_frame(msg.value().body, &consumed);
-  if (!r.ok()) {
-    drop_connection_locked();
-    return query_failure_status(name_, id, 1, StatusCode::kUnavailable);
-  }
-  return r;
 }
 
 }  // namespace perfsight

@@ -12,16 +12,20 @@
 //   bytes accumulated nonblocking into a partial-read buffer until a whole
 //   PSM1 message lands, dispatch, replies drained through a per-connection
 //   write queue with deadline-bounded backpressure.  The server hosts MANY
-//   served agents: the hello advertises the roster, batch/single requests
-//   route by the agent name on their envelope, and requests without one
-//   (old clients) fall back to the primary (first-registered) agent.
+//   served agents: the hello advertises the roster, batch requests route by
+//   the agent name on their envelope, and requests without one (old
+//   clients) fall back to the primary (first-registered) agent.  A batch is
+//   the only fetch the server answers; a message of a retired or unknown
+//   kind closes the connection.
 //
 //   RemoteAgent — the controller-side adapter.  It implements AgentClient
 //   over one connection to a server, so the controller's scatter-gather path
 //   (controller.cc) treats socket-backed and in-process agents identically.
 //   Constructed with an agent name it binds to that roster entry and stamps
 //   the name on every request; constructed bare it speaks the old
-//   single-agent protocol and gets the primary.
+//   single-agent protocol and gets the primary.  It implements query_batch
+//   only: a single fetch is the AgentClient default (a batch of one), kept
+//   virtual so a decorator such as perfbench's TimedAgent can time it.
 //
 // The contract the differential suite (transport_test) holds this pair to:
 // on a clean stream, every byte of a BatchResponse — records, qualities,
@@ -46,8 +50,8 @@
 // active TraceContext, the adapter stamps its trace id + parent span onto
 // the request envelope, records a client-side kSpanTransportTrip span, and
 // reads the server's piggybacked trace data after a clean batch reply.  The
-// server records a kSpanServerBatch/kSpanServerSingle span (span-clock
-// timestamps) into its own TraceRecorder for every traced request, parented
+// server records a kSpanServerBatch span (span-clock timestamps) into its
+// own TraceRecorder for every traced request, parented
 // to the span id off the wire.  With no active context the request carries
 // trace_id 0 and the server's reply bytes are identical to an untraced
 // build — tracing never perturbs the differential contract.  The hello
@@ -268,10 +272,6 @@ class RemoteAgent : public AgentClient {
   bool has_element(const ElementId& id) const override;
   std::vector<ElementId> element_ids() const override;
 
-  Result<QueryResponse> query_attrs(const ElementId& id,
-                                    const std::vector<std::string>& attrs,
-                                    SimTime now) override;
-
   // One wire round trip per call.  `pool` is ignored — concurrency across
   // remote agents comes from the controller's fan-out; the connection itself
   // is serialized.  Never fails outright: transport loss degrades to
@@ -290,7 +290,7 @@ class RemoteAgent : public AgentClient {
   // Pulls the server's drained trace rings into the *global* TraceRecorder
   // as a remote lane (clock-offset attached).  The piggyback fast path makes
   // this unnecessary after clean traced batches; harvest catches spans from
-  // single requests and from sweeps whose piggyback was lost.
+  // sweeps whose piggyback was lost.
   Status harvest_trace();
 
   // Remote span clock minus local, estimated at the last hello handshake.

@@ -285,36 +285,6 @@ bool StreamCacheAgent::has_element(const ElementId& id) const {
   return known_.count(id) > 0;
 }
 
-Result<QueryResponse> StreamCacheAgent::lookup(const ElementId& id,
-                                               SimTime now) const {
-  std::optional<QueryResponse> r = cache_->find(name_, id, now);
-  if (!r.has_value()) {
-    // The window was never streamed or repaired — loud, distinct from any
-    // pull-path text so it reads as a cache bug, not a channel fault.
-    return Status::unavailable("stream cache: no window at t=" +
-                               std::to_string(now.ns()) + "ns for agent " +
-                               name_ + " element " + id.name);
-  }
-  return *r;
-}
-
-Result<QueryResponse> StreamCacheAgent::query_attrs(
-    const ElementId& id, const std::vector<std::string>& attrs, SimTime now) {
-  if (!has_element(id)) {
-    return Status::not_found("agent " + name_ + ": no element " + id.name);
-  }
-  Result<QueryResponse> r = lookup(id, now);
-  if (!r.ok()) return r.status();
-  QueryResponse resp = r.value();
-  if (resp.quality == DataQuality::kMissing) {
-    // Reproduce the exact Status the live agent's single-query path
-    // returned when the capture failed.
-    return query_failure_status(name_, id, resp.attempts, resp.fail_code);
-  }
-  resp.record = project(resp.record, attrs);
-  return resp;
-}
-
 BatchResponse StreamCacheAgent::query_batch(const std::vector<ElementId>& ids,
                                             SimTime now, ThreadPool*) {
   std::vector<ElementId> sorted = ids;

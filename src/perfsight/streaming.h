@@ -236,19 +236,12 @@ class StreamCacheAgent : public AgentClient {
   bool has_element(const ElementId& id) const override;
   std::vector<ElementId> element_ids() const override { return ids_; }
 
-  Result<QueryResponse> query_attrs(const ElementId& id,
-                                    const std::vector<std::string>& attrs,
-                                    SimTime now) override;
-
   // Served entirely from the cache: no channel time is paid at query time
   // (it was paid once, at capture).  `pool` is ignored.
   BatchResponse query_batch(const std::vector<ElementId>& ids, SimTime now,
                             ThreadPool* pool = nullptr) override;
 
  private:
-  // The cached response, or the Status a pull-path caller would have seen.
-  Result<QueryResponse> lookup(const ElementId& id, SimTime now) const;
-
   const StreamCache* cache_;
   std::string name_;
   std::vector<ElementId> ids_;  // ascending

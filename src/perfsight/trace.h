@@ -18,8 +18,8 @@
 //                           Overloaded / Underloaded transitions (Fig. 7)
 //   * kAgentQueryIssued/
 //     kAgentQueryCompleted  agent↔element channel activity (Fig. 9 cost)
-//   * kAgentCacheHit        a cached query served locally (zero channel
-//                           latency) — timelines keep every diagnosis query
+//   * kAgentCacheHit        reserved, never emitted (kept so PSM1 trace
+//                           data keeps its u8 kind numbers)
 //   * kDiagnosisStarted/
 //     kDiagnosisCompleted   Algorithm 1/2 runs (self-profiling)
 //   * kAlertFired           an AlertWatcher threshold breach
@@ -78,7 +78,8 @@ enum class TraceEventKind {
   kDiagnosisStarted,
   kDiagnosisCompleted,
   kAlertFired,
-  kAgentCacheHit,  // cached diagnosis query served without a channel trip
+  kAgentCacheHit,  // reserved, never emitted: kinds travel as a u8 in PSM1
+                   // trace data, so later values must not shift
   // Fault-tolerant collection (faults.h): channel failures, the retry/budget
   // machinery absorbing them, and circuit-breaker state — timelines show the
   // collection layer degrading, not just succeeding.
@@ -106,7 +107,7 @@ enum class TraceEventKind {
   kSpanChannelTrip,    // one channel kind's shared round trip
   kSpanTransportTrip,  // client-side socket round trip (dur = wall time)
   kSpanServerBatch,    // server-side batch serve (span-clock timestamps)
-  kSpanServerSingle,   // server-side single-attr serve
+  kSpanServerSingle,   // reserved, never emitted (numbering, as above)
 };
 
 const char* to_string(TraceEventKind k);

@@ -319,12 +319,8 @@ const char* to_string(MessageKind k) {
       return "hello";
     case MessageKind::kBatchRequest:
       return "batch_request";
-    case MessageKind::kSingleRequest:
-      return "single_request";
     case MessageKind::kListElements:
       return "list_elements";
-    case MessageKind::kSingleResponse:
-      return "single_response";
     case MessageKind::kError:
       return "error";
     case MessageKind::kTraceHarvest:
@@ -476,52 +472,6 @@ Result<BatchRequestMsg> decode_batch_request(std::string_view body) {
     return Status::invalid_argument("wire batch request structurally damaged");
   }
   r.now = SimTime::nanos(now_ns);
-  return r;
-}
-
-std::string encode_single_request(const SingleRequestMsg& r) {
-  std::string body;
-  put<int64_t>(body, r.now.ns());
-  put_string(body, r.id.name);
-  put<uint32_t>(body, static_cast<uint32_t>(r.attrs.size()));
-  for (const std::string& a : r.attrs) put_string(body, a);
-  put<uint64_t>(body, r.trace_id);
-  put<uint64_t>(body, r.parent_span);
-  if (!r.agent.empty()) put_string(body, r.agent);  // as in batch requests
-  return body;
-}
-
-Result<SingleRequestMsg> decode_single_request(std::string_view body) {
-  SingleRequestMsg r;
-  size_t at = 0;
-  int64_t now_ns = 0;
-  std::string name;
-  uint32_t count = 0;
-  if (!get(body, at, &now_ns) || !get_string(body, at, &name) ||
-      !get(body, at, &count)) {
-    return Status::invalid_argument("wire single request structurally damaged");
-  }
-  if (count > (body.size() - at) / 2 + 1) {
-    return Status::invalid_argument("wire single request structurally damaged");
-  }
-  r.now = SimTime::nanos(now_ns);
-  r.id = ElementId{std::move(name)};
-  r.attrs.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    std::string a;
-    if (!get_string(body, at, &a)) {
-      return Status::invalid_argument(
-          "wire single request structurally damaged");
-    }
-    r.attrs.push_back(std::move(a));
-  }
-  if (!get(body, at, &r.trace_id) || !get(body, at, &r.parent_span)) {
-    return Status::invalid_argument("wire single request structurally damaged");
-  }
-  if (at != body.size() &&
-      (!get_string(body, at, &r.agent) || at != body.size())) {
-    return Status::invalid_argument("wire single request structurally damaged");
-  }
   return r;
 }
 

@@ -121,12 +121,13 @@ BatchResponse reconcile(const std::vector<ElementId>& sorted_ids,
 // the PSM1 envelope.  Bodies are checksummed; decoders are total functions
 // over arbitrary bytes.
 
+// Values 3 and 5 are retired (they carried a single-element request and its
+// response before every fetch became a batch) and are never reassigned: a
+// server receiving either closes the connection like any unknown kind.
 enum class MessageKind : uint8_t {
   kHello = 1,           // server → client on accept: agent name + element ids
   kBatchRequest = 2,    // client → server: query_batch(ids, now)
-  kSingleRequest = 3,   // client → server: query_attrs(id, attrs, now)
   kListElements = 4,    // client → server: re-fetch the hello element set
-  kSingleResponse = 5,  // server → client: one PSB1 frame (success)
   kError = 6,           // server → client: Status code + message
   kTraceHarvest = 7,    // client → server: drain your trace rings to me
   kTraceData = 8,       // server → client: drained spans (also piggybacked
@@ -210,21 +211,6 @@ struct BatchRequestMsg {
 };
 std::string encode_batch_request(const BatchRequestMsg& r);
 Result<BatchRequestMsg> decode_batch_request(std::string_view body);
-
-// query_attrs over the wire (the single-element GetAttr path).  Carries the
-// same trace context as batch requests; the server records the serve span
-// (harvested later) but never piggybacks on the single-response path.
-struct SingleRequestMsg {
-  SimTime now;
-  ElementId id;
-  std::vector<std::string> attrs;
-  uint64_t trace_id = 0;
-  uint64_t parent_span = 0;
-  // Fleet routing, as on BatchRequestMsg: empty = primary agent, old format.
-  std::string agent;
-};
-std::string encode_single_request(const SingleRequestMsg& r);
-Result<SingleRequestMsg> decode_single_request(std::string_view body);
 
 // Drained trace rings crossing the wire (kTraceData): the producing
 // process's name plus its events, timestamps still on that process's span

@@ -36,7 +36,8 @@ TEST(AgentTest, QueryReturnsRecordWithLatency) {
   FakeSource s("m0/pnic", ChannelKind::kNetDeviceFile);
   s.attrs = {{"rxPkts", 10}};
   ASSERT_TRUE(agent.add_element(&s).is_ok());
-  auto resp = agent.query(ElementId{"m0/pnic"}, SimTime::millis(1));
+  auto resp = agent.query_attrs(ElementId{"m0/pnic"}, {"rxPkts"},
+                                SimTime::millis(1));
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp.value().record.get("rxPkts"), 10.0);
   // net_device channel: ~2 ms per Fig. 9.
@@ -52,7 +53,7 @@ TEST(AgentTest, NonNetDeviceChannelsAreSubMillisecond) {
   FakeSource mb("m0/vm0/app", ChannelKind::kMbSocket);
   for (auto* s : {&proc, &ovs, &qemu, &mb}) {
     ASSERT_TRUE(agent.add_element(s).is_ok());
-    auto resp = agent.query(s->id(), SimTime{});
+    auto resp = agent.query_attrs(s->id(), {}, SimTime{});
     ASSERT_TRUE(resp.ok());
     EXPECT_LT(resp.value().response_time.us(), 500) << s->id().name;
   }
@@ -67,7 +68,10 @@ TEST(AgentTest, DuplicateRegistrationRejected) {
 
 TEST(AgentTest, UnknownElementNotFound) {
   Agent agent("a0");
-  EXPECT_FALSE(agent.query(ElementId{"nope"}, SimTime{}).ok());
+  auto resp = agent.query_attrs(ElementId{"nope"}, {}, SimTime{});
+  ASSERT_FALSE(resp.ok());
+  EXPECT_EQ(resp.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(resp.status().message(), "agent a0: no element nope");
 }
 
 TEST(AgentTest, QueryAttrsProjects) {
@@ -88,37 +92,6 @@ TEST(AgentTest, PollAllCoversEveryElement) {
   ASSERT_TRUE(agent.add_element(&b).is_ok());
   auto all = agent.poll_all(SimTime{});
   EXPECT_EQ(all.size(), 2u);
-}
-
-
-TEST(AgentTest, CachedQueryServesWithinMaxAge) {
-  Agent agent("a0");
-  FakeSource s("e", ChannelKind::kNetDeviceFile);
-  s.attrs = {{"rxPkts", 1}};
-  ASSERT_TRUE(agent.add_element(&s).is_ok());
-
-  auto first = agent.query_cached(ElementId{"e"}, SimTime::millis(0),
-                                  Duration::millis(100));
-  ASSERT_TRUE(first.ok());
-  EXPECT_GT(first.value().response_time.us(), 0);
-  EXPECT_EQ(agent.cache_hits(), 0u);
-
-  // The element's counters move, but a fresh-enough cache entry is served
-  // without touching the channel.
-  s.attrs[0].value = 2;
-  auto hit = agent.query_cached(ElementId{"e"}, SimTime::millis(50),
-                                Duration::millis(100));
-  ASSERT_TRUE(hit.ok());
-  EXPECT_EQ(hit.value().record.get("rxPkts"), 1.0);
-  EXPECT_EQ(hit.value().response_time.ns(), 0);
-  EXPECT_EQ(agent.cache_hits(), 1u);
-
-  // Past max_age the channel is used again.
-  auto refetch = agent.query_cached(ElementId{"e"}, SimTime::millis(200),
-                                    Duration::millis(100));
-  ASSERT_TRUE(refetch.ok());
-  EXPECT_EQ(refetch.value().record.get("rxPkts"), 2.0);
-  EXPECT_EQ(agent.cache_hits(), 1u);
 }
 
 TEST(WireBatchTest, RoundTripsMultipleRecords) {

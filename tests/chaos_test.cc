@@ -22,6 +22,7 @@
 #include "perfsight/faults.h"
 #include "perfsight/remote_agent.h"
 #include "perfsight/transport.h"
+#include "support/oracles.h"
 
 namespace perfsight {
 namespace {
@@ -228,14 +229,16 @@ TEST(OutageForcingTest, WindowForcesMissingInAllPathsAndRecovers) {
   agent.set_breaker_config(no_breakers());
 
   // Before the window: fresh.
-  Result<QueryResponse> before = agent.query(s0.id(), SimTime::millis(5));
+  Result<QueryResponse> before =
+      agent.query_attrs(s0.id(), {attr::kRxPkts}, SimTime::millis(5));
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(before.value().quality, DataQuality::kFresh);
 
-  // Inside the window: the single path fails unavailable after all retries
+  // Inside the window: a single fetch fails unavailable after all retries
   // (the schedule forces every attempt), and the batch + poll paths report
   // the identical outcome for every element.
-  Result<QueryResponse> in = agent.query(s0.id(), SimTime::millis(15));
+  Result<QueryResponse> in =
+      agent.query_attrs(s0.id(), {attr::kRxPkts}, SimTime::millis(15));
   ASSERT_FALSE(in.ok());
   EXPECT_EQ(in.status().code(), StatusCode::kUnavailable);
   EXPECT_NE(in.status().message().find("unavailable after 3 attempt(s)"),
@@ -257,7 +260,8 @@ TEST(OutageForcingTest, WindowForcesMissingInAllPathsAndRecovers) {
 
   // After the window: the agent serves again (the window, not a breaker,
   // was the authority — no cooldown owed).
-  Result<QueryResponse> after = agent.query(s0.id(), SimTime::millis(25));
+  Result<QueryResponse> after =
+      agent.query_attrs(s0.id(), {attr::kRxPkts}, SimTime::millis(25));
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.value().quality, DataQuality::kFresh);
 }
@@ -329,11 +333,11 @@ struct RollingWorld {
     }
   }
 
-  // One controller sweep over every element at `at`, folded to a string.
-  // `agents` selects the world copy; null pool + batching off is the
-  // sequential oracle.
+  // One sweep over every element at `at`, folded to a string.  `agents`
+  // selects the world copy; `reference` answers it with the reference
+  // GetAttr loop (the sequential oracle) instead of a controller scatter.
   std::string sweep(std::vector<std::unique_ptr<Agent>>& agents, SimTime at,
-                    bool batching, ThreadPool* pool, bool mirrored) {
+                    bool reference, ThreadPool* pool, bool mirrored) {
     SimTime now = at;
     Controller c(
         [&now](Duration d) {
@@ -341,13 +345,14 @@ struct RollingWorld {
           return now;
         },
         [&now] { return now; });
-    c.set_batching(batching);
     c.set_pool(pool);
     const TenantId tenant{1};
+    oracle::OwnerMap owner, mirror;
     for (size_t a = 0; a < kAgents; ++a) {
       c.register_agent(agents[a].get());
       for (const ElementId& id : ids_of[a]) {
         EXPECT_TRUE(c.register_element(tenant, id, agents[a].get()).is_ok());
+        owner[id] = agents[a].get();
       }
     }
     if (mirrored) {
@@ -356,12 +361,16 @@ struct RollingWorld {
         for (const ElementId& id : ids_of[a]) {
           EXPECT_TRUE(
               c.register_mirror(tenant, id, agents[replica].get()).is_ok());
+          mirror[id] = agents[replica].get();
         }
       }
     }
+    const std::vector<std::string> attrs{attr::kRxPkts, attr::kTxPkts};
     std::string out;
     for (const auto& r :
-         c.get_attr_many(tenant, all_ids, {attr::kRxPkts, attr::kTxPkts})) {
+         reference ? oracle::reference_get_attr(owner, mirror, all_ids, attrs,
+                                                at)
+                   : c.get_attr_many(tenant, all_ids, attrs)) {
       out += fmt(r);
     }
     return out;
@@ -376,12 +385,12 @@ TEST(RollingUpgradeDifferentialTest, PooledSweepMatchesSequentialOracle) {
   for (int64_t t : times) {
     const SimTime at = SimTime::millis(t);
     const std::string oracle =
-        world.sweep(world.seq_agents, at, /*batching=*/false, nullptr,
+        world.sweep(world.seq_agents, at, /*reference=*/true, nullptr,
                     /*mirrored=*/false);
     for (ThreadPool* pool :
          {static_cast<ThreadPool*>(nullptr), &pool2, &pool8}) {
       const std::string got = world.sweep(world.par_agents, at,
-                                          /*batching=*/true, pool,
+                                          /*reference=*/false, pool,
                                           /*mirrored=*/false);
       EXPECT_EQ(got, oracle)
           << "t=" << t << " pool=" << (pool ? pool->workers() : 0);
@@ -401,11 +410,11 @@ TEST(RollingUpgradeDifferentialTest, MirrorsEraseRollingBlindSpots) {
   for (int64_t t : times) {
     const SimTime at = SimTime::millis(t);
     const std::string plain_sweep =
-        plain.sweep(plain.seq_agents, at, false, nullptr, false);
+        plain.sweep(plain.seq_agents, at, true, nullptr, false);
     const std::string seq =
-        mirrored.sweep(mirrored.seq_agents, at, false, nullptr, true);
+        mirrored.sweep(mirrored.seq_agents, at, true, nullptr, true);
     const std::string par =
-        mirrored.sweep(mirrored.par_agents, at, true, &pool8, true);
+        mirrored.sweep(mirrored.par_agents, at, false, &pool8, true);
     // The quorum second round preserves the pooled-vs-sequential contract.
     EXPECT_EQ(par, seq) << "t=" << t;
     // Strictly fewer blind spots than the unmirrored run: the one down
@@ -777,9 +786,10 @@ TEST(ReconnectDiffTest, UnchangedElementSetSkipsDiffViaEpoch) {
 }
 
 TEST(ReconnectDiffTest, ControllerMergeCarriesDepartureStatusBothPaths) {
-  // The controller's sequential and scatter-gather paths reconstruct the
-  // identical "departed at reconnect" Status from the synthesized batch
-  // responses — the byte-identity contract extends to departures.
+  // The controller's scatter-gather merge and the reference GetAttr loop
+  // reconstruct the identical "departed at reconnect" Status from the
+  // synthesized batch responses — the byte-identity contract extends to
+  // departures.
   SourceKeeper world;
   const ElementId el0{"f/el0"}, el1{"f/el1"};
   auto gen1 = std::make_unique<Agent>("fleet-0", 1);
@@ -813,13 +823,13 @@ TEST(ReconnectDiffTest, ControllerMergeCarriesDepartureStatusBothPaths) {
   (void)client.query_batch({el1}, SimTime::millis(1));  // settle the diff
 
   std::string batched;
-  c.set_batching(true);
   for (const auto& r : c.get_attr_many(tenant, {el0, el1}, {attr::kRxPkts})) {
     batched += fmt(r);
   }
   std::string sequential;
-  c.set_batching(false);
-  for (const auto& r : c.get_attr_many(tenant, {el0, el1}, {attr::kRxPkts})) {
+  for (const auto& r : oracle::reference_get_attr(
+           {{el0, &client}, {el1, &client}}, {}, {el0, el1},
+           {attr::kRxPkts}, now)) {
     sequential += fmt(r);
   }
   EXPECT_EQ(batched, sequential);

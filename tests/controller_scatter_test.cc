@@ -1,9 +1,10 @@
 // Controller scatter-gather: every multi-element query path must produce
-// byte-identical output whether it runs as the sequential per-element loop
-// (the oracle), as per-agent batches merged inline, or fanned out over a
-// thread pool of any size — with or without the wire-codec loopback, and
-// under a seeded fault plan.  Plus the cost-bookkeeping fix (mutex instead
-// of torn atomics) and a TSan churn target for the shared pool.
+// byte-identical output to the sequential oracle (a reference GetAttr loop
+// over agents fetched one element per round trip) whether per-agent batches
+// merge inline or fan out over a thread pool of any size — with or without
+// a wire-codec loopback, and under a seeded fault plan.  Plus the
+// cost-bookkeeping fix (mutex instead of torn atomics) and a TSan churn
+// target for the shared pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,6 +22,7 @@
 #include "perfsight/monitor.h"
 #include "perfsight/rootcause.h"
 #include "perfsight/trace.h"
+#include "support/oracles.h"
 
 namespace perfsight {
 namespace {
@@ -48,12 +50,17 @@ class ScriptedSource : public StatsSource {
   ChannelKind kind_;
 };
 
+// How the rig's controller reaches its agents: directly, or through one of
+// the test oracles' decorators.
+enum class Clients { kDirect, kSequential, kWireLoopback };
+
 // A multi-agent cluster driven by a manual clock: `agents` machines, each
 // hosting `per_agent` packet-path elements (Algorithm 1 food) plus one
 // middlebox, the middleboxes chained across machines (Algorithm 2 food).
 class ScatterRig {
  public:
-  ScatterRig(size_t agents, size_t per_agent)
+  ScatterRig(size_t agents, size_t per_agent,
+             Clients clients = Clients::kDirect)
       : controller_([this](Duration d) { return advance(d); },
                     [this] { return now_; }) {
     const ChannelKind kinds[] = {ChannelKind::kProcFs, ChannelKind::kMbSocket,
@@ -62,7 +69,16 @@ class ScatterRig {
     for (size_t a = 0; a < agents; ++a) {
       agents_.push_back(
           std::make_unique<Agent>("agent-" + std::to_string(a), a + 1));
-      Agent* agent = agents_.back().get();
+      AgentClient* agent = agents_.back().get();
+      if (clients == Clients::kSequential) {
+        wrappers_.push_back(
+            std::make_unique<oracle::SequentialAgent>(agent));
+        agent = wrappers_.back().get();
+      } else if (clients == Clients::kWireLoopback) {
+        wrappers_.push_back(
+            std::make_unique<oracle::WireLoopbackAgent>(agent));
+        agent = wrappers_.back().get();
+      }
       controller_.register_agent(agent);
       for (size_t e = 0; e < per_agent; ++e) {
         const size_t i = a * per_agent + e;
@@ -76,10 +92,11 @@ class ScatterRig {
                     {attr::kType,
                      static_cast<double>(static_cast<int>(ElementKind::kTun))},
                     {attr::kVm, static_cast<double>(i % 3)}};
-        EXPECT_TRUE(agent->add_element(s.get()).is_ok());
+        EXPECT_TRUE(agents_.back()->add_element(s.get()).is_ok());
         EXPECT_TRUE(
             controller_.register_element(tenant_, s->id(), agent).is_ok());
         controller_.register_stack_element(agent, s->id());
+        owner_[s->id()] = agent;
         elements_.push_back(s->id());
         sources_.push_back(std::move(s));
       }
@@ -90,9 +107,10 @@ class ScatterRig {
                    {attr::kOutBytes, 0},
                    {attr::kOutTimeNs, 0},
                    {attr::kCapacityMbps, 1000}};
-      EXPECT_TRUE(agent->add_element(mb.get()).is_ok());
+      EXPECT_TRUE(agents_.back()->add_element(mb.get()).is_ok());
       EXPECT_TRUE(
           controller_.register_element(tenant_, mb->id(), agent).is_ok());
+      owner_[mb->id()] = agent;
       controller_.register_middlebox(tenant_, mb->id());
       if (a > 0) {
         controller_.add_chain_edge(tenant_, mbs_.back()->id(), mb->id());
@@ -141,6 +159,8 @@ class ScatterRig {
   SimTime now_;
   Controller controller_;
   std::vector<std::unique_ptr<Agent>> agents_;
+  std::vector<std::unique_ptr<AgentClient>> wrappers_;
+  oracle::OwnerMap owner_;  // element -> the client the controller uses
   std::vector<std::unique_ptr<ScriptedSource>> sources_;
   std::vector<ScriptedSource*> mbs_;
   std::vector<ElementId> elements_;  // packet-path elements, creation order
@@ -172,30 +192,38 @@ std::string fmt_val(const Result<T>& r, DataQuality q) {
 }
 
 // Runs the full diagnosis workload once and folds every output into one
-// string: the sequential run of this script is the oracle the pooled /
-// wire-looped runs must reproduce byte-for-byte.
-std::string run_script(ScatterRig& rig, ThreadPool* pool, bool batching,
-                       bool wire_loopback) {
+// string.  The oracle run (`reference` set, over a kSequential rig) answers
+// the GetAttr lines with the reference loop; the pooled / wire-looped runs
+// must reproduce it byte-for-byte through the controller.
+std::string run_script(ScatterRig& rig, ThreadPool* pool, bool reference) {
   Controller& c = rig.controller_;
   c.set_pool(pool);
-  c.set_batching(batching);
-  c.set_wire_loopback(wire_loopback);
+  auto get_attr = [&](const std::vector<ElementId>& ids,
+                      const std::vector<std::string>& attrs) {
+    return reference ? oracle::reference_get_attr(rig.owner_, {}, ids, attrs,
+                                                  rig.now_)
+                     : c.get_attr_many(rig.tenant_, ids, attrs);
+  };
 
   std::string out;
 
   // GetAttr fan-in over every tenant element, plus an id no agent serves.
   std::vector<ElementId> ids = c.elements_of(rig.tenant_);
   ids.push_back(ElementId{"ghost"});
-  for (const auto& r : c.get_attr_many(
-           rig.tenant_, ids,
-           {attr::kRxPkts, attr::kTxPkts, attr::kDropPkts, attr::kType,
-            attr::kVm})) {
+  for (const auto& r :
+       get_attr(ids, {attr::kRxPkts, attr::kTxPkts, attr::kDropPkts,
+                      attr::kType, attr::kVm})) {
     out += fmt(r);
   }
 
-  // Single-element path (also exercises the shared cost accounting).
-  out += fmt(c.get_attr_q(rig.tenant_, rig.elements_.front(),
-                          {attr::kRxPkts, attr::kTxPkts}));
+  // Single-element GetAttr (also exercises the shared cost accounting).
+  if (reference) {
+    out += fmt(get_attr({rig.elements_.front()},
+                        {attr::kRxPkts, attr::kTxPkts}).front());
+  } else {
+    out += fmt(c.get_attr_q(rig.tenant_, rig.elements_.front(),
+                            {attr::kRxPkts, attr::kTxPkts}));
+  }
 
   // Interval fan-ins: one shared window advance per utility.
   const std::vector<ElementId>& els = rig.elements_;
@@ -242,9 +270,9 @@ std::string run_script(ScatterRig& rig, ThreadPool* pool, bool batching,
 }
 
 TEST(ScatterDifferentialTest, PooledPathsMatchSequentialOracle) {
-  ScatterRig oracle_rig(4, 4);
+  ScatterRig oracle_rig(4, 4, Clients::kSequential);
   const std::string oracle =
-      run_script(oracle_rig, nullptr, /*batching=*/false, false);
+      run_script(oracle_rig, nullptr, /*reference=*/true);
   ASSERT_NE(oracle.find("=== Algorithm 1"), std::string::npos);
   ASSERT_NE(oracle.find("=== Algorithm 2"), std::string::npos);
   ASSERT_NE(oracle.find("ALERT ["), std::string::npos);
@@ -254,13 +282,13 @@ TEST(ScatterDifferentialTest, PooledPathsMatchSequentialOracle) {
   // Batched but inline (no pool).
   {
     ScatterRig rig(4, 4);
-    EXPECT_EQ(run_script(rig, nullptr, true, false), oracle);
+    EXPECT_EQ(run_script(rig, nullptr, false), oracle);
   }
   // Batched over pools of 1, 2 and 8 workers.
   for (size_t workers : {1u, 2u, 8u}) {
     ScatterRig rig(4, 4);
     ThreadPool pool(workers);
-    EXPECT_EQ(run_script(rig, &pool, true, false), oracle)
+    EXPECT_EQ(run_script(rig, &pool, false), oracle)
         << "divergence at pool size " << workers;
   }
 }
@@ -268,11 +296,11 @@ TEST(ScatterDifferentialTest, PooledPathsMatchSequentialOracle) {
 TEST(ScatterDifferentialTest, WireLoopbackIsTransparent) {
   ScatterRig plain_rig(3, 3);
   ThreadPool plain_pool(4);
-  const std::string plain = run_script(plain_rig, &plain_pool, true, false);
+  const std::string plain = run_script(plain_rig, &plain_pool, false);
 
-  ScatterRig looped_rig(3, 3);
+  ScatterRig looped_rig(3, 3, Clients::kWireLoopback);
   ThreadPool looped_pool(4);
-  EXPECT_EQ(run_script(looped_rig, &looped_pool, true, true), plain);
+  EXPECT_EQ(run_script(looped_rig, &looped_pool, false), plain);
 }
 
 TEST(ScatterDifferentialTest, FaultPlanPreservesDifferential) {
@@ -299,10 +327,10 @@ TEST(ScatterDifferentialTest, FaultPlanPreservesDifferential) {
     return plan;
   };
 
-  ScatterRig oracle_rig(4, 4);
+  ScatterRig oracle_rig(4, 4, Clients::kSequential);
   FaultPlan oracle_plan = make_plan();
   oracle_rig.install_faults(&oracle_plan, retry);
-  const std::string oracle = run_script(oracle_rig, nullptr, false, false);
+  const std::string oracle = run_script(oracle_rig, nullptr, true);
   // The plan must actually bite for the differential to mean anything.
   ASSERT_TRUE(oracle.find("q=stale") != std::string::npos ||
               oracle.find("q=torn") != std::string::npos ||
@@ -315,16 +343,16 @@ TEST(ScatterDifferentialTest, FaultPlanPreservesDifferential) {
     FaultPlan plan = make_plan();
     rig.install_faults(&plan, retry);
     ThreadPool pool(workers);
-    EXPECT_EQ(run_script(rig, &pool, true, false), oracle)
+    EXPECT_EQ(run_script(rig, &pool, false), oracle)
         << "fault differential divergence at pool size " << workers;
   }
   // And with the wire loopback on top.
   {
-    ScatterRig rig(4, 4);
+    ScatterRig rig(4, 4, Clients::kWireLoopback);
     FaultPlan plan = make_plan();
     rig.install_faults(&plan, retry);
     ThreadPool pool(4);
-    EXPECT_EQ(run_script(rig, &pool, true, true), oracle);
+    EXPECT_EQ(run_script(rig, &pool, false), oracle);
   }
 }
 
@@ -375,9 +403,12 @@ TEST(ScatterCostTest, BatchingAmortizesChannelTimeWithoutChangingResults) {
   std::vector<ElementId> ids =
       seq_rig.controller_.elements_of(seq_rig.tenant_);
 
-  seq_rig.controller_.set_batching(false);
-  auto seq = seq_rig.controller_.get_attr_many(seq_rig.tenant_, ids,
-                                               {attr::kRxPkts});
+  // The sequential bill: one GetAttr (a scatter of one) per element.
+  std::vector<Result<Controller::QualifiedRecord>> seq;
+  for (const ElementId& id : ids) {
+    seq.push_back(
+        seq_rig.controller_.get_attr_q(seq_rig.tenant_, id, {attr::kRxPkts}));
+  }
   auto bat = bat_rig.controller_.get_attr_many(bat_rig.tenant_, ids,
                                                {attr::kRxPkts});
   ASSERT_EQ(seq.size(), bat.size());

@@ -48,6 +48,15 @@ class FakeSource : public StatsSource {
   ChannelKind kind_;
 };
 
+// A single fetch (a batch of one) of every attribute these sources carry.
+Result<QueryResponse> fetch(AgentClient& agent, const ElementId& id,
+                            SimTime now) {
+  return agent.query_attrs(id,
+                           {attr::kRxPkts, attr::kTxPkts, attr::kDropPkts,
+                            attr::kRxBytes, attr::kCapacityMbps},
+                           now);
+}
+
 std::vector<std::unique_ptr<FakeSource>> make_sources(size_t n) {
   std::vector<std::unique_ptr<FakeSource>> out;
   const ChannelKind kinds[] = {ChannelKind::kProcFs, ChannelKind::kMbSocket,
@@ -261,7 +270,7 @@ TEST(RetryTest, RetryAbsorbsTransientFault) {
   agent.set_retry_policy(lenient_retry());
 
   ScopedTraceRecorder scoped;
-  Result<QueryResponse> r = agent.query(ElementId{"e"}, when);
+  Result<QueryResponse> r = fetch(agent, ElementId{"e"}, when);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().attempts, 2u);
   EXPECT_TRUE(is_fresh(r.value().quality));
@@ -292,7 +301,7 @@ TEST(RetryTest, ExhaustionFailsUnavailable) {
   RetryPolicy p = lenient_retry();
   agent.set_retry_policy(p);
 
-  Result<QueryResponse> r = agent.query(ElementId{"e"}, SimTime::millis(1));
+  Result<QueryResponse> r = fetch(agent, ElementId{"e"}, SimTime::millis(1));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(static_cast<int>(r.status().code()),
             static_cast<int>(StatusCode::kUnavailable));
@@ -312,7 +321,7 @@ TEST(RetryTest, TimeoutRoutesDeadlineExceeded) {
   ASSERT_TRUE(agent.add_element(&s).is_ok());
   agent.set_fault_plan(&plan);  // default policy: one attempt, no budget
 
-  Result<QueryResponse> r = agent.query(ElementId{"e"}, SimTime::millis(1));
+  Result<QueryResponse> r = fetch(agent, ElementId{"e"}, SimTime::millis(1));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(static_cast<int>(r.status().code()),
             static_cast<int>(StatusCode::kDeadlineExceeded));
@@ -371,7 +380,7 @@ TEST(BreakerTest, OpensFastFailsHalfOpensAndCloses) {
 
   // Three consecutive failures trip the kProcFs breaker.
   for (int t = 1; t <= 3; ++t) {
-    EXPECT_FALSE(agent.query(ElementId{"bad"}, SimTime::millis(t)).ok());
+    EXPECT_FALSE(fetch(agent, ElementId{"bad"}, SimTime::millis(t)).ok());
   }
   EXPECT_EQ(static_cast<int>(agent.breaker_state(ChannelKind::kProcFs)),
             static_cast<int>(BreakerState::kOpen));
@@ -379,14 +388,15 @@ TEST(BreakerTest, OpensFastFailsHalfOpensAndCloses) {
 
   // While cooling down, even the healthy element fast-fails with zero
   // channel time and zero attempts.
-  Result<QueryResponse> ff = agent.query(ElementId{"good"}, SimTime::millis(5));
+  Result<QueryResponse> ff =
+      fetch(agent, ElementId{"good"}, SimTime::millis(5));
   ASSERT_FALSE(ff.ok());
   EXPECT_EQ(agent.fault_stats().breaker_fast_fails, 1u);
 
   // After the cooldown the next query runs as a half-open probe; it
   // succeeds and the breaker closes.
   Result<QueryResponse> probe =
-      agent.query(ElementId{"good"}, SimTime::millis(30));
+      fetch(agent, ElementId{"good"}, SimTime::millis(30));
   ASSERT_TRUE(probe.ok());
   EXPECT_EQ(static_cast<int>(agent.breaker_state(ChannelKind::kProcFs)),
             static_cast<int>(BreakerState::kClosed));
@@ -409,12 +419,12 @@ TEST(BreakerTest, FailedProbeReopens) {
   cfg.cooldown = Duration::millis(10);
   agent.set_breaker_config(cfg);
 
-  EXPECT_FALSE(agent.query(ElementId{"bad"}, SimTime::millis(1)).ok());
-  EXPECT_FALSE(agent.query(ElementId{"bad"}, SimTime::millis(2)).ok());
+  EXPECT_FALSE(fetch(agent, ElementId{"bad"}, SimTime::millis(1)).ok());
+  EXPECT_FALSE(fetch(agent, ElementId{"bad"}, SimTime::millis(2)).ok());
   ASSERT_EQ(static_cast<int>(agent.breaker_state(ChannelKind::kProcFs)),
             static_cast<int>(BreakerState::kOpen));
   // Probe after cooldown fails -> straight back to open.
-  EXPECT_FALSE(agent.query(ElementId{"bad"}, SimTime::millis(20)).ok());
+  EXPECT_FALSE(fetch(agent, ElementId{"bad"}, SimTime::millis(20)).ok());
   EXPECT_EQ(static_cast<int>(agent.breaker_state(ChannelKind::kProcFs)),
             static_cast<int>(BreakerState::kOpen));
   EXPECT_EQ(agent.fault_stats().breaker_opened, 2u);
@@ -432,14 +442,16 @@ TEST(CrashTest, CrashResetsMonotoneCountersOnly) {
   ASSERT_TRUE(agent.add_element(&s).is_ok());
   agent.set_fault_plan(&plan);
 
-  Result<QueryResponse> before = agent.query(ElementId{"e"}, SimTime::millis(1));
+  Result<QueryResponse> before =
+      fetch(agent, ElementId{"e"}, SimTime::millis(1));
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(before.value().record.get_or(attr::kRxPkts, -1), 1000);
 
   // Crash at 5ms: the next collect restarts the monotone counters from
   // zero; gauges keep their values.
   s.attrs[0].value = 1500;
-  Result<QueryResponse> after = agent.query(ElementId{"e"}, SimTime::millis(10));
+  Result<QueryResponse> after =
+      fetch(agent, ElementId{"e"}, SimTime::millis(10));
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.value().record.get_or(attr::kRxPkts, -1), 0);
   EXPECT_EQ(after.value().record.get_or(attr::kCapacityMbps, -1), 100);
@@ -447,7 +459,8 @@ TEST(CrashTest, CrashResetsMonotoneCountersOnly) {
 
   // Counters grow again from the new origin.
   s.attrs[0].value = 1800;
-  Result<QueryResponse> later = agent.query(ElementId{"e"}, SimTime::millis(20));
+  Result<QueryResponse> later =
+      fetch(agent, ElementId{"e"}, SimTime::millis(20));
   ASSERT_TRUE(later.ok());
   EXPECT_EQ(later.value().record.get_or(attr::kRxPkts, -1), 300);
 }
@@ -527,7 +540,7 @@ TEST(StaleTest, StaleServedFromLastGoodWithTrueTimestamp) {
   ASSERT_TRUE(agent.add_element(&s).is_ok());
   agent.set_fault_plan(&plan);
 
-  ASSERT_TRUE(agent.query(ElementId{"e"}, SimTime::millis(1)).ok());
+  ASSERT_TRUE(fetch(agent, ElementId{"e"}, SimTime::millis(1)).ok());
 
   // Now every query to "e" is stale: the agent serves the last good record
   // at its true (old) timestamp.
@@ -536,7 +549,7 @@ TEST(StaleTest, StaleServedFromLastGoodWithTrueTimestamp) {
   plan.set_element_faults(ElementId{"e"}, stale);
   s.attrs[0].value = 99;
 
-  Result<QueryResponse> r = agent.query(ElementId{"e"}, SimTime::millis(50));
+  Result<QueryResponse> r = fetch(agent, ElementId{"e"}, SimTime::millis(50));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(static_cast<int>(r.value().quality),
             static_cast<int>(DataQuality::kStale));
@@ -557,7 +570,7 @@ TEST(StaleTest, StaleWithoutLastGoodActsTransient) {
   agent.set_fault_plan(&plan);
 
   // Nothing cached yet: the stale read has nothing to serve and fails.
-  Result<QueryResponse> r = agent.query(ElementId{"e"}, SimTime::millis(1));
+  Result<QueryResponse> r = fetch(agent, ElementId{"e"}, SimTime::millis(1));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(static_cast<int>(r.status().code()),
             static_cast<int>(StatusCode::kUnavailable));
@@ -576,7 +589,7 @@ TEST(TornTest, TornReadDeliversPartialRecord) {
   ASSERT_TRUE(agent.add_element(&s).is_ok());
   agent.set_fault_plan(&plan);
 
-  Result<QueryResponse> r = agent.query(ElementId{"e"}, SimTime::millis(1));
+  Result<QueryResponse> r = fetch(agent, ElementId{"e"}, SimTime::millis(1));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(static_cast<int>(r.value().quality),
             static_cast<int>(DataQuality::kTorn));
@@ -958,7 +971,7 @@ TEST(DeploymentFaultTest, RetryAndBreakerConfigReplayOntoNewAgents) {
 
   auto sources = make_sources(1);
   ASSERT_TRUE(a->add_element(sources[0].get()).is_ok());
-  EXPECT_FALSE(a->query(sources[0]->id(), SimTime::millis(1)).ok());
+  EXPECT_FALSE(fetch(*a, sources[0]->id(), SimTime::millis(1)).ok());
   EXPECT_EQ(a->fault_stats().retries, 1u);  // max_attempts=2 reached the agent
 }
 
@@ -990,7 +1003,7 @@ TEST(FaultChurnTest, ConcurrentPollsQueriesAndChurnUnderFaults) {
   std::thread querier([&] {
     int t = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      (void)agent.query(sources[8]->id(), SimTime::millis(++t));
+      (void)fetch(agent, sources[8]->id(), SimTime::millis(++t));
       (void)agent.fault_stats();
       (void)agent.breaker_state(ChannelKind::kProcFs);
     }

@@ -25,6 +25,7 @@
 #include "perfsight/transport.h"
 #include "perfsight/wire.h"
 #include "sim/simulator.h"
+#include "support/oracles.h"
 
 namespace perfsight {
 namespace {
@@ -110,10 +111,10 @@ std::string fmt(const Result<Controller::QualifiedRecord>& r) {
          to_string(r.value().quality) + "\n";
 }
 
-// The workload every controller runs: a fleet-wide multi-attr sweep (the
-// batch path, including an id nobody serves) plus single-element reads (the
-// kSingleRequest path) off the first and last elements.  Folded to a string
-// so byte-identity is one EXPECT_EQ.
+// The workload every controller runs: a fleet-wide multi-attr sweep
+// (including an id nobody serves) plus single-element reads (batches of
+// one) off the first and last elements.  Folded to a string so
+// byte-identity is one EXPECT_EQ.
 std::string run_fleet_script(const Fleet& fleet,
                              const std::vector<AgentClient*>& clients) {
   SimTime now;
@@ -123,8 +124,6 @@ std::string run_fleet_script(const Fleet& fleet,
         return now;
       },
       [&now] { return now; });
-  c.set_batching(true);
-  c.set_wire_loopback(false);
   const TenantId tenant{1};
   for (size_t a = 0; a < clients.size(); ++a) {
     c.register_agent(clients[a]);
@@ -145,11 +144,30 @@ std::string run_fleet_script(const Fleet& fleet,
   return out;
 }
 
-// In-process oracle: the same script over raw Agent pointers.
+// In-process oracle: the same reads as run_fleet_script, answered by the
+// reference GetAttr loop over the raw Agents (no controller involved).
 std::string oracle_of(const Fleet& fleet) {
-  std::vector<AgentClient*> local;
-  for (const auto& a : fleet.agents) local.push_back(a.get());
-  return run_fleet_script(fleet, local);
+  oracle::OwnerMap owner;
+  for (size_t a = 0; a < fleet.agents.size(); ++a) {
+    for (const ElementId& id : fleet.ids_of[a]) {
+      owner[id] = fleet.agents[a].get();
+    }
+  }
+  std::string out;
+  std::vector<ElementId> ids = fleet.all_ids;
+  ids.push_back(ElementId{"ghost"});
+  for (const auto& r : oracle::reference_get_attr(
+           owner, {}, ids, {attr::kRxPkts, attr::kDropPkts, attr::kVm},
+           SimTime{})) {
+    out += fmt(r);
+  }
+  out += fmt(oracle::reference_get_attr(owner, {}, {fleet.all_ids.front()},
+                                        {attr::kRxPkts}, SimTime{})
+                 .front());
+  out += fmt(oracle::reference_get_attr(owner, {}, {fleet.all_ids.back()},
+                                        {attr::kDropPkts}, SimTime{})
+                 .front());
+  return out;
 }
 
 // One controller's socket-backed client set: an adapter per agent, each
@@ -231,9 +249,8 @@ TEST(FleetMuxTest, TracedFleetBatchesStayByteIdenticalAndShipServeSpans) {
   // drains exactly the serve span its own batch recorded.
   EXPECT_EQ(run_fleet_script(fleet, clients), oracle);
 
-  // The single-request path records a serve span only under an active
-  // caller context (the controller's get_attr_q carries none), and never
-  // piggybacks — a harvest brings it home.
+  // A single fetch is a batch of one: under an active caller context it
+  // records a one-item serve span like any batch.
   {
     ScopedTraceContext ctx(TraceContext{77, 5});
     Result<QueryResponse> r = remotes[1]->query_attrs(
@@ -245,18 +262,21 @@ TEST(FleetMuxTest, TracedFleetBatchesStayByteIdenticalAndShipServeSpans) {
   const std::vector<TraceRecorder::RemoteLane> lanes =
       scoped.recorder().remote_lanes();
   size_t batch_spans = 0;
-  size_t single_spans = 0;
+  size_t one_item_spans = 0;
   for (const TraceRecorder::RemoteLane& lane : lanes) {
     // Lane attribution is always a hosted agent: the routed agent's name on
     // piggybacks, the primary's on harvests.
     EXPECT_EQ(lane.process.rfind("fleet-", 0), 0u) << lane.process;
     for (const TraceEvent& e : lane.events) {
-      if (e.kind == TraceEventKind::kSpanServerBatch) ++batch_spans;
-      if (e.kind == TraceEventKind::kSpanServerSingle) ++single_spans;
+      if (e.kind != TraceEventKind::kSpanServerBatch) continue;
+      ++batch_spans;
+      if (e.value == 1.0) ++one_item_spans;
     }
   }
-  EXPECT_EQ(batch_spans, fleet.agents.size());  // one per routed batch
-  EXPECT_EQ(single_spans, 1u);                  // the traced query_attrs
+  // One per routed sweep batch, plus three batches of one: the script's
+  // two get_attr_q reads (traced scatters of one) and the query_attrs.
+  EXPECT_EQ(batch_spans, fleet.agents.size() + 3);
+  EXPECT_EQ(one_item_spans, 3u);
 }
 
 // --- protocol compatibility --------------------------------------------------
@@ -324,28 +344,17 @@ TEST(FleetMuxTest, DeploymentBindsWholeRosterFromOneEndpoint) {
            tenant, fleet.all_ids, {attr::kRxPkts, attr::kDropPkts})) {
     out += fmt(r);
   }
+  oracle::OwnerMap owner;
+  for (size_t a = 0; a < fleet.agents.size(); ++a) {
+    for (const ElementId& id : fleet.ids_of[a]) {
+      owner[id] = fleet.agents[a].get();
+    }
+  }
   std::string oracle;
-  {
-    SimTime now;
-    Controller c(
-        [&now](Duration d) {
-          now = now + d;
-          return now;
-        },
-        [&now] { return now; });
-    c.set_batching(true);
-    c.set_wire_loopback(false);
-    for (size_t a = 0; a < fleet.agents.size(); ++a) {
-      c.register_agent(fleet.agents[a].get());
-      for (const ElementId& id : fleet.ids_of[a]) {
-        ASSERT_TRUE(
-            c.register_element(tenant, id, fleet.agents[a].get()).is_ok());
-      }
-    }
-    for (const auto& r : c.get_attr_many(tenant, fleet.all_ids,
-                                         {attr::kRxPkts, attr::kDropPkts})) {
-      oracle += fmt(r);
-    }
+  for (const auto& r : oracle::reference_get_attr(
+           owner, {}, fleet.all_ids, {attr::kRxPkts, attr::kDropPkts},
+           sim.now())) {
+    oracle += fmt(r);
   }
   EXPECT_EQ(out, oracle);
   // A typo'd binding through the Deployment front door fails loudly.

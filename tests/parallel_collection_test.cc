@@ -158,7 +158,7 @@ TEST(ParallelPollTest, QueryBatchCountsUnknownIds) {
   EXPECT_EQ(batch.unknown_ids, 2u);
 }
 
-// TSan target: a poll sweep racing element churn and cached queries must
+// TSan target: a poll sweep racing element churn and single fetches must
 // not corrupt agent state.  (Removal only deregisters — sources outlive the
 // sweep by contract.)
 TEST(ParallelPollTest, ConcurrentPollAllAndRemoveElement) {
@@ -177,10 +177,12 @@ TEST(ParallelPollTest, ConcurrentPollAllAndRemoveElement) {
       }
     }
   });
-  std::thread cached([&] {
+  std::atomic<uint64_t> fetched{0};
+  std::thread single([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      (void)agent.query_cached(sources[8]->id(), SimTime::millis(1),
-                               Duration::millis(100));
+      BatchResponse b =
+          agent.query_batch({sources[8]->id()}, SimTime::millis(1));
+      fetched.fetch_add(b.responses.size(), std::memory_order_relaxed);
     }
   });
   for (int round = 0; round < 200; ++round) {
@@ -192,8 +194,8 @@ TEST(ParallelPollTest, ConcurrentPollAllAndRemoveElement) {
   }
   stop.store(true);
   churn.join();
-  cached.join();
-  EXPECT_GE(agent.cache_hits(), 1u);
+  single.join();
+  EXPECT_GE(fetched.load(), 1u);
 }
 
 class ParallelRig {
@@ -296,38 +298,6 @@ TEST(ParallelMetricsTest, ParallelExposeIsByteIdenticalToSequential) {
   std::string b = par_reg.expose(SimTime::seconds(1));
   EXPECT_EQ(a, b);
   EXPECT_NE(a.find("perfsight_element_stat"), std::string::npos);
-}
-
-TEST(CacheHitTraceTest, CachedQueryEmitsZeroLatencyEvent) {
-  ScopedTraceRecorder scoped;
-  Agent agent("a0");
-  FakeSource s("e", ChannelKind::kNetDeviceFile);
-  s.attrs = {{attr::kRxPkts, 1}};
-  ASSERT_TRUE(agent.add_element(&s).is_ok());
-
-  ASSERT_TRUE(agent.query_cached(ElementId{"e"}, SimTime::millis(0),
-                                 Duration::millis(100))
-                  .ok());
-  ASSERT_TRUE(agent.query_cached(ElementId{"e"}, SimTime::millis(50),
-                                 Duration::millis(100))
-                  .ok());
-  ASSERT_EQ(agent.cache_hits(), 1u);
-
-  // The timeline shows the miss (issued+completed) AND the hit: cached
-  // diagnosis queries are no longer invisible to the flight recorder.
-  size_t hits = 0, completed = 0;
-  for (const TraceEvent& e :
-       scoped.recorder().events_for(ElementId{"e"})) {
-    if (e.kind == TraceEventKind::kAgentCacheHit) {
-      ++hits;
-      EXPECT_EQ(e.value, 0);  // zero channel latency
-      EXPECT_EQ(e.t, SimTime::millis(50));
-    }
-    if (e.kind == TraceEventKind::kAgentQueryCompleted) ++completed;
-  }
-  EXPECT_EQ(hits, 1u);
-  EXPECT_EQ(completed, 1u);
-  EXPECT_STREQ(to_string(TraceEventKind::kAgentCacheHit), "agent_cache_hit");
 }
 
 }  // namespace

@@ -6,9 +6,10 @@
 // rankings, same blind-spot/coverage annotations, same alert firings —
 // clean, under a fault campaign with scheduled outages, with stream frames
 // dropped in transit (gap → targeted pull repair), and at pool sizes 1 and
-// 4.  The differential runs the same seeded scenario through twin worlds
+// 4.  The differential runs the same seeded scenario through worlds
 // sharing the same pure time-keyed sources, concatenates every report into
-// one transcript per world, and string-compares the transcripts.
+// one transcript per world, and string-compares the transcripts against an
+// oracle world whose agents answer one element per round trip.
 //
 // Also here: the StreamCache gap state machine (gap → repair → re-apply,
 // publisher-restart rebase), the remote kSubscribe/kStreamData path end to
@@ -38,6 +39,7 @@
 #include "perfsight/streaming.h"
 #include "perfsight/transport.h"
 #include "perfsight/wire.h"
+#include "support/oracles.h"
 
 namespace perfsight {
 namespace {
@@ -162,14 +164,19 @@ CircuitBreakerConfig no_breakers() {
   return CircuitBreakerConfig{1u << 30, Duration::millis(20)};
 }
 
+// How a world's controller reaches its agents.
+enum class Mode {
+  kSequential,  // live agents, one element per round trip (the oracle)
+  kPull,        // live agents, batched
+  kStreamed,    // StreamCacheAgents fed by a StreamPipeline
+};
+
 // One world: a controller + two agents over the shared scenario sources.
-// In streamed mode the controller talks to StreamCacheAgents fed by a
-// StreamPipeline; in pull mode it talks to the live agents directly.
 class Rig {
  public:
   Rig(const std::vector<std::unique_ptr<FnSource>>& sources,
-      const FaultPlan* plan, bool streamed, ThreadPool* pool)
-      : streamed_(streamed) {
+      const FaultPlan* plan, Mode mode, ThreadPool* pool)
+      : streamed_(mode == Mode::kStreamed) {
     a0_ = std::make_unique<Agent>("a0", 11);
     a1_ = std::make_unique<Agent>("a1", 12);
     for (const auto& s : sources) {
@@ -196,6 +203,11 @@ class Rig {
       ca1_ = std::make_unique<StreamCacheAgent>(&cache_, *a1_);
       c0 = ca0_.get();
       c1 = ca1_.get();
+    } else if (mode == Mode::kSequential) {
+      sa0_ = std::make_unique<oracle::SequentialAgent>(a0_.get());
+      sa1_ = std::make_unique<oracle::SequentialAgent>(a1_.get());
+      c0 = sa0_.get();
+      c1 = sa1_.get();
     }
 
     ctl_ = std::make_unique<Controller>(
@@ -237,6 +249,7 @@ class Rig {
   StreamCache cache_;
   std::unique_ptr<StreamPipeline> pipe_;
   std::unique_ptr<StreamCacheAgent> ca0_, ca1_;
+  std::unique_ptr<oracle::SequentialAgent> sa0_, sa1_;
   std::unique_ptr<Controller> ctl_;
 };
 
@@ -308,8 +321,9 @@ struct WorldRun {
   uint64_t frames_dropped = 0;
 };
 
-WorldRun run_world(const std::string& plan_spec, bool streamed,
+WorldRun run_world(const std::string& plan_spec, Mode mode,
                    size_t pool_size) {
+  const bool streamed = mode == Mode::kStreamed;
   std::optional<FaultPlan> plan;
   if (!plan_spec.empty()) {
     plan = FaultPlan::parse(plan_spec);
@@ -317,7 +331,7 @@ WorldRun run_world(const std::string& plan_spec, bool streamed,
   }
   auto sources = make_scenario();
   ThreadPool pool(pool_size);
-  Rig rig(sources, plan ? &*plan : nullptr, streamed, &pool);
+  Rig rig(sources, plan ? &*plan : nullptr, mode, &pool);
   WorldRun r;
   r.transcript = run_script(rig, streamed, &pool);
   if (streamed) {
@@ -330,15 +344,15 @@ WorldRun run_world(const std::string& plan_spec, bool streamed,
 // --- the fidelity gate -------------------------------------------------------
 
 TEST(StreamingDifferentialTest, CleanScenarioByteIdentical) {
-  const WorldRun pull1 = run_world("seed=11", /*streamed=*/false, 1);
+  const WorldRun pull1 = run_world("seed=11", Mode::kSequential, 1);
   ASSERT_FALSE(pull1.transcript.empty());
   // The healthy scenario must actually diagnose something, or the gate
   // proves nothing.
   EXPECT_NE(pull1.transcript.find("CONTENTION"), std::string::npos);
   EXPECT_NE(pull1.transcript.find("pnic-drops"), std::string::npos);
   for (size_t pool_size : {size_t{1}, size_t{4}}) {
-    const WorldRun pull = run_world("seed=11", false, pool_size);
-    const WorldRun stream = run_world("seed=11", true, pool_size);
+    const WorldRun pull = run_world("seed=11", Mode::kPull, pool_size);
+    const WorldRun stream = run_world("seed=11", Mode::kStreamed, pool_size);
     EXPECT_EQ(pull1.transcript, pull.transcript) << "pool=" << pool_size;
     EXPECT_EQ(pull.transcript, stream.transcript) << "pool=" << pool_size;
   }
@@ -351,14 +365,14 @@ TEST(StreamingDifferentialTest, FaultCampaignByteIdentical) {
   const std::string spec =
       "seed=11,transient=0.08,timeout=0.05,torn=0.05,stream_drop=0.3,"
       "outage=a1@300-500";
-  const WorldRun pull1 = run_world(spec, false, 1);
+  const WorldRun pull1 = run_world(spec, Mode::kSequential, 1);
   // The campaign must actually bite: a1's unmirrored TUNs go dark, so the
   // reports carry blind-spot/coverage annotations.
   EXPECT_NE(pull1.transcript.find("blind spots"), std::string::npos);
   EXPECT_NE(pull1.transcript.find("missing"), std::string::npos);
   for (size_t pool_size : {size_t{1}, size_t{4}}) {
-    const WorldRun pull = run_world(spec, false, pool_size);
-    const WorldRun stream = run_world(spec, true, pool_size);
+    const WorldRun pull = run_world(spec, Mode::kPull, pool_size);
+    const WorldRun stream = run_world(spec, Mode::kStreamed, pool_size);
     EXPECT_EQ(pull1.transcript, pull.transcript) << "pool=" << pool_size;
     EXPECT_EQ(pull.transcript, stream.transcript) << "pool=" << pool_size;
     // With stream_drop=0.3 over 22 frames, some frames must be lost and

@@ -35,6 +35,7 @@
 #include "perfsight/rootcause.h"
 #include "perfsight/trace.h"
 #include "perfsight/wire.h"
+#include "support/oracles.h"
 #include "sim/simulator.h"
 
 namespace perfsight {
@@ -86,11 +87,12 @@ class ScriptedSource : public StatsSource {
 };
 
 // The scatter-rig topology of controller_scatter_test, parameterized over
-// how the controller reaches each agent: in-process pointer, RemoteAgent
-// over loopback tcp, or RemoteAgent over a unix-domain socket.
+// how the controller reaches each agent: in-process pointer, in-process
+// through the one-element-per-round-trip oracle, RemoteAgent over loopback
+// tcp, or RemoteAgent over a unix-domain socket.
 class TransportRig {
  public:
-  enum class Mode { kInProcess, kTcp, kUnix };
+  enum class Mode { kInProcess, kSequential, kTcp, kUnix };
 
   TransportRig(size_t agents, size_t per_agent, Mode mode)
       : controller_([this](Duration d) { return advance(d); },
@@ -133,7 +135,10 @@ class TransportRig {
       sources_.push_back(std::move(mb));
 
       AgentClient* client = agent;
-      if (mode != Mode::kInProcess) {
+      if (mode == Mode::kSequential) {
+        sequential_.push_back(std::make_unique<oracle::SequentialAgent>(agent));
+        client = sequential_.back().get();
+      } else if (mode != Mode::kInProcess) {
         transport::Endpoint ep =
             mode == Mode::kTcp
                 ? transport::Endpoint::tcp("127.0.0.1", 0)
@@ -152,11 +157,13 @@ class TransportRig {
         EXPECT_TRUE(
             controller_.register_element(tenant_, s->id(), client).is_ok());
         controller_.register_stack_element(client, s->id());
+        owner_[s->id()] = client;
         elements_.push_back(s->id());
       }
       EXPECT_TRUE(
           controller_.register_element(tenant_, mbs_.back()->id(), client)
               .is_ok());
+      owner_[mbs_.back()->id()] = client;
       controller_.register_middlebox(tenant_, mbs_.back()->id());
       if (a > 0) {
         controller_.add_chain_edge(tenant_, mbs_[mbs_.size() - 2]->id(),
@@ -217,7 +224,9 @@ class TransportRig {
   std::vector<std::unique_ptr<ScriptedSource>> sources_;
   std::vector<std::unique_ptr<RemoteAgentServer>> servers_;
   std::vector<std::unique_ptr<RemoteAgent>> remotes_;
+  std::vector<std::unique_ptr<oracle::SequentialAgent>> sequential_;
   std::vector<AgentClient*> clients_;
+  oracle::OwnerMap owner_;  // element -> the client the controller uses
   std::vector<ScriptedSource*> mbs_;
   std::vector<ElementId> elements_;  // packet-path elements, creation order
   Controller controller_;
@@ -249,27 +258,35 @@ std::string fmt_val(const Result<T>& r, DataQuality q) {
 }
 
 // The full diagnosis workload of controller_scatter_test, folded into one
-// string: its in-process run is the oracle every socket-backed run must
-// reproduce byte-for-byte.
-std::string run_script(TransportRig& rig, ThreadPool* pool, bool batching) {
+// string: its run over kSequential with the reference GetAttr loop is the
+// oracle every socket-backed run must reproduce byte-for-byte.
+std::string run_script(TransportRig& rig, ThreadPool* pool, bool reference) {
   Controller& c = rig.controller_;
   c.set_pool(pool);
-  c.set_batching(batching);
-  c.set_wire_loopback(false);
+  auto get_attr = [&](const std::vector<ElementId>& ids,
+                      const std::vector<std::string>& attrs) {
+    return reference ? oracle::reference_get_attr(rig.owner_, {}, ids, attrs,
+                                                  rig.now_)
+                     : c.get_attr_many(rig.tenant_, ids, attrs);
+  };
 
   std::string out;
 
   std::vector<ElementId> ids = c.elements_of(rig.tenant_);
   ids.push_back(ElementId{"ghost"});
-  for (const auto& r : c.get_attr_many(
-           rig.tenant_, ids,
-           {attr::kRxPkts, attr::kTxPkts, attr::kDropPkts, attr::kType,
-            attr::kVm})) {
+  for (const auto& r :
+       get_attr(ids, {attr::kRxPkts, attr::kTxPkts, attr::kDropPkts,
+                      attr::kType, attr::kVm})) {
     out += fmt(r);
   }
 
-  out += fmt(c.get_attr_q(rig.tenant_, rig.elements_.front(),
-                          {attr::kRxPkts, attr::kTxPkts}));
+  if (reference) {
+    out += fmt(get_attr({rig.elements_.front()},
+                        {attr::kRxPkts, attr::kTxPkts}).front());
+  } else {
+    out += fmt(c.get_attr_q(rig.tenant_, rig.elements_.front(),
+                            {attr::kRxPkts, attr::kTxPkts}));
+  }
 
   const std::vector<ElementId>& els = rig.elements_;
   std::vector<DataQuality> q;
@@ -366,9 +383,9 @@ TEST(SocketTest, DeadlinesHoldAndPartialBytesSurvive) {
 // --- the differential contract -----------------------------------------------
 
 TEST(TransportDifferentialTest, SocketAgentsMatchInProcessOracle) {
-  TransportRig oracle_rig(3, 3, TransportRig::Mode::kInProcess);
+  TransportRig oracle_rig(3, 3, TransportRig::Mode::kSequential);
   const std::string oracle =
-      run_script(oracle_rig, nullptr, /*batching=*/false);
+      run_script(oracle_rig, nullptr, /*reference=*/true);
   ASSERT_NE(oracle.find("=== Algorithm 1"), std::string::npos);
   ASSERT_NE(oracle.find("=== Algorithm 2"), std::string::npos);
   ASSERT_NE(oracle.find("ALERT ["), std::string::npos);
@@ -378,23 +395,23 @@ TEST(TransportDifferentialTest, SocketAgentsMatchInProcessOracle) {
   // Batched over tcp, inline gather.
   {
     TransportRig rig(3, 3, TransportRig::Mode::kTcp);
-    EXPECT_EQ(run_script(rig, nullptr, true), oracle);
+    EXPECT_EQ(run_script(rig, nullptr, false), oracle);
   }
   // Batched over tcp, scatter across a pool.
   {
     TransportRig rig(3, 3, TransportRig::Mode::kTcp);
     ThreadPool pool(4);
-    EXPECT_EQ(run_script(rig, &pool, true), oracle);
+    EXPECT_EQ(run_script(rig, &pool, false), oracle);
   }
-  // Single-request path over tcp (kSingleRequest / kError framing).
+  // Reference loop over tcp: one batch of one per element on the wire.
   {
     TransportRig rig(3, 3, TransportRig::Mode::kTcp);
-    EXPECT_EQ(run_script(rig, nullptr, false), oracle);
+    EXPECT_EQ(run_script(rig, nullptr, true), oracle);
   }
   // Batched over unix-domain sockets.
   {
     TransportRig rig(3, 3, TransportRig::Mode::kUnix);
-    EXPECT_EQ(run_script(rig, nullptr, true), oracle);
+    EXPECT_EQ(run_script(rig, nullptr, false), oracle);
   }
 }
 
@@ -421,10 +438,10 @@ TEST(TransportDifferentialTest, AgentFaultPlanCrossesTheWireIntact) {
     return plan;
   };
 
-  TransportRig oracle_rig(3, 3, TransportRig::Mode::kInProcess);
+  TransportRig oracle_rig(3, 3, TransportRig::Mode::kSequential);
   FaultPlan oracle_plan = make_plan();
   oracle_rig.install_faults(&oracle_plan, retry);
-  const std::string oracle = run_script(oracle_rig, nullptr, false);
+  const std::string oracle = run_script(oracle_rig, nullptr, true);
   ASSERT_TRUE(oracle.find("q=stale") != std::string::npos ||
               oracle.find("q=torn") != std::string::npos ||
               oracle.find("ERR(3)") != std::string::npos ||
@@ -436,13 +453,13 @@ TEST(TransportDifferentialTest, AgentFaultPlanCrossesTheWireIntact) {
     FaultPlan plan = make_plan();
     rig.install_faults(&plan, retry);
     ThreadPool pool(2);
-    EXPECT_EQ(run_script(rig, &pool, true), oracle);
+    EXPECT_EQ(run_script(rig, &pool, false), oracle);
   }
   {
     TransportRig rig(3, 3, TransportRig::Mode::kTcp);
     FaultPlan plan = make_plan();
     rig.install_faults(&plan, retry);
-    EXPECT_EQ(run_script(rig, nullptr, false), oracle);
+    EXPECT_EQ(run_script(rig, nullptr, true), oracle);
   }
 }
 
@@ -451,7 +468,6 @@ TEST(TransportDifferentialTest, AgentFaultPlanCrossesTheWireIntact) {
 TEST(TransportDamageTest, TornBatchBecomesBlindSpots) {
   ScopedTraceRecorder scoped;
   TransportRig rig(2, 3, TransportRig::Mode::kTcp);
-  rig.controller_.set_batching(true);
   std::vector<ElementId> a0 = rig.elements_of_agent(0, 3);
 
   // Learn the first frame's wire size from a clean round trip, then tear
@@ -513,7 +529,6 @@ TEST(TransportDamageTest, TornBatchBecomesBlindSpots) {
 
 TEST(TransportDamageTest, CorruptFrameReconcilesAndRecovers) {
   TransportRig rig(2, 3, TransportRig::Mode::kTcp);
-  rig.controller_.set_batching(true);
 
   // Flip a byte inside the first frame's payload: the checksum fails, the
   // length chain past the frame is untrustworthy, and every element of
@@ -539,7 +554,6 @@ TEST(TransportDamageTest, CorruptFrameReconcilesAndRecovers) {
 
 TEST(TransportDamageTest, DroppedReplyResendsOnceInvisibly) {
   TransportRig rig(1, 3, TransportRig::Mode::kTcp);
-  rig.controller_.set_batching(true);
 
   // The server closes without replying: zero reply bytes arrived, so the
   // idempotent read earns exactly one reconnect + resend and the caller
@@ -557,11 +571,40 @@ TEST(TransportDamageTest, DroppedReplyResendsOnceInvisibly) {
   EXPECT_EQ(stats.damaged, 0u);
 }
 
+// Message kind 3 (like 5) is retired and never reassigned: a peer still
+// sending it is closed like any confused client, and a fresh connection is
+// served as before.
+TEST(TransportProtocolTest, RetiredKindClosesTheConnection) {
+  TransportRig rig(1, 2, TransportRig::Mode::kTcp);
+  const transport::Endpoint ep = rig.server(0)->endpoint();
+  Result<transport::Socket> c = transport::connect(ep, WallDuration(1000));
+  ASSERT_TRUE(c.ok());
+  transport::Socket raw = std::move(c).take();
+  ASSERT_TRUE(transport::read_message_bytes(raw, WallDuration(1000)).ok())
+      << "no hello on accept";
+  ASSERT_TRUE(raw.send_all(wire::encode_message(
+                               static_cast<wire::MessageKind>(3), "retired"),
+                           WallDuration(1000))
+                  .is_ok());
+  Result<std::string> reply =
+      transport::read_message_bytes(raw, WallDuration(2000));
+  ASSERT_FALSE(reply.ok()) << "the server answered a retired kind";
+  EXPECT_EQ(reply.status().code(), StatusCode::kUnavailable)
+      << reply.status().message();
+
+  RemoteAgent fresh(ep);
+  ASSERT_TRUE(fresh.connect().is_ok());
+  BatchResponse b = fresh.query_batch(rig.elements_, rig.now_);
+  ASSERT_EQ(b.responses.size(), 2u);
+  for (const QueryResponse& r : b.responses) {
+    EXPECT_EQ(r.quality, DataQuality::kFresh) << r.record.element.name;
+  }
+}
+
 // --- reconnect + breaker -----------------------------------------------------
 
 TEST(TransportReconnectTest, ServerRestartHeals) {
   TransportRig rig(1, 2, TransportRig::Mode::kTcp);
-  rig.controller_.set_batching(true);
   RetryPolicy rp;
   rp.max_attempts = 2;
   rp.initial_backoff = Duration::millis(1);
@@ -637,7 +680,6 @@ TEST(TransportBreakerTest, BreakerFastFailsThenHalfOpenProbeRecovers) {
 
 TEST(TransportObservabilityTest, CountersCoverTheTransportLifecycle) {
   TransportRig rig(1, 2, TransportRig::Mode::kTcp);
-  rig.controller_.set_batching(true);
   MetricsRegistry reg;
   rig.remote(0)->set_metrics(&reg);
 
@@ -761,8 +803,6 @@ TEST(FleetTracingTest, RemoteSpansResolveToScatterAcrossSkewedClocks) {
         return now;
       },
       [&now] { return now; });
-  controller.set_batching(true);
-  controller.set_wire_loopback(false);
   ThreadPool pool(2);
   controller.set_pool(&pool);
   const TenantId tenant{1};
@@ -1080,7 +1120,6 @@ TEST(TransportChurnTest, RemoteQueriesRaceServerSidePolls) {
   TransportRig rig(2, 3, TransportRig::Mode::kTcp);
   ThreadPool pool(4);
   rig.controller_.set_pool(&pool);
-  rig.controller_.set_batching(true);
   std::vector<ElementId> ids = rig.elements_;
 
   std::atomic<bool> stop{false};
