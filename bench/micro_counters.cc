@@ -61,21 +61,6 @@ void BM_StatsRecordToWire(benchmark::State& state) {
 }
 BENCHMARK(BM_StatsRecordToWire);
 
-void BM_StatsRecordFromWire(benchmark::State& state) {
-  StatsRecord r;
-  r.timestamp = SimTime::millis(42);
-  r.element = ElementId{"m0/vm3/tun"};
-  for (int i = 0; i < 8; ++i) {
-    r.attrs.push_back({"attr" + std::to_string(i), 1234567.0 * i});
-  }
-  std::string wire = to_wire(r);
-  for (auto _ : state) {
-    Result<StatsRecord> back = from_wire(wire);
-    benchmark::DoNotOptimize(back);
-  }
-}
-BENCHMARK(BM_StatsRecordFromWire);
-
 void BM_AgentPollSweep(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   std::vector<ElementStats> stats(n);

@@ -120,6 +120,8 @@ int main() {
   shape_check(simple_ns < 20, "simple counter update costs only a few ns");
   shape_check(timer_ns < 1000,
               "time counter update stays well below a microsecond");
+  shape_check(timer_ns > simple_ns,
+              "time counter update costs more than a simple counter update");
   shape_check(std::fabs(blocked_impact) < 3.0,
               "time counters barely affect a blocked (paced) middlebox");
   shape_check(std::fabs(overloaded_impact) < 5.0,

@@ -30,7 +30,7 @@ class Counter {
 };
 
 // Accumulated I/O time in nanoseconds.  Dual use:
-//  * simulator elements call add_sim(duration) with simulated time;
+//  * simulator elements call add(Duration) with simulated time;
 //  * real hotpaths wrap a read/write in a ScopedIoTimer (wall time).
 class IoTimeCounter {
  public:

@@ -102,8 +102,10 @@ Result<std::string> unescape(const std::string& s) {
 std::string number(double v) {
   if (!std::isfinite(v)) return "null";
   char buf[64];
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::fabs(v) < 9.0e15) {
+  // Range check before the cast: converting a double outside long long's
+  // range (1e300, say) is undefined behaviour.
+  if (std::fabs(v) < 9.0e15 &&
+      v == static_cast<double>(static_cast<long long>(v))) {
     std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
   } else {
     // %.17g is the shortest width that round-trips every double; %.10g lost
@@ -137,12 +139,6 @@ std::vector<double> find_numbers(const std::string& text,
     if (end != start) out.push_back(v);
   }
   return out;
-}
-
-double find_number(const std::string& text, const std::string& key,
-                   double fallback) {
-  std::vector<double> v = find_numbers(text, key);
-  return v.empty() ? fallback : v.front();
 }
 
 namespace {

@@ -28,9 +28,6 @@ std::string number(double v);
 // it is not a general JSON query.
 std::vector<double> find_numbers(const std::string& text,
                                  const std::string& key);
-// First such value, or `fallback` when the key never carries a number.
-double find_number(const std::string& text, const std::string& key,
-                   double fallback = 0);
 
 // Structural well-formedness check of a complete JSON document: balanced
 // objects/arrays, valid strings/numbers/literals, commas and colons where

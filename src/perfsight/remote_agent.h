@@ -134,11 +134,6 @@ class RemoteAgentServer {
   // in `m`.  Call before start(); the serve thread reads the pointer.
   void set_metrics(MetricsRegistry* m);
 
-  // The server-side flight recorder: serve spans for traced requests land
-  // here and leave via harvest / piggyback.  Always enabled; it only fills
-  // when clients send traced requests.
-  TraceRecorder& trace_recorder() { return trace_recorder_; }
-
   // Shifts this server's view of the span clock (tests: prove the client's
   // hello-derived offset estimate really corrects skewed remote lanes).
   void set_clock_skew_ns(int64_t skew_ns) {
@@ -227,6 +222,9 @@ class RemoteAgentServer {
   std::atomic<uint64_t> accept_errors_{0};
   std::atomic<size_t> live_connections_{0};
   MetricsRegistry::CounterMetric* m_accept_errors_ = nullptr;
+  // The server-side flight recorder: serve spans for traced requests land
+  // here and leave via harvest / piggyback.  Always enabled; it only fills
+  // when clients send traced requests.
   TraceRecorder trace_recorder_;
   std::atomic<int64_t> clock_skew_ns_{0};
 

@@ -16,21 +16,37 @@ void put(std::string& out, T v) {
   out.append(buf, sizeof(T));
 }
 
-// Reads a T at `at`.  The `at > size` guard is explicit: `bytes.size() - at`
-// is unsigned, and a caller that over-advanced `at` (the streaming transport
-// reader walks length chains from untrusted prefixes) must get `false`, not
-// a wrapped-around huge remainder.
+// Reads a T at `at` and advances past it.  The `at > size` guard is
+// explicit: `bytes.size() - at` is unsigned, and a caller that over-advanced
+// `at` (the streaming transport reader walks length chains from untrusted
+// prefixes) must get `false`, not a wrapped-around huge remainder.
 template <typename T>
-bool get(std::string_view bytes, size_t at_in, size_t& at, T* v) {
-  if (at_in > bytes.size() || bytes.size() - at_in < sizeof(T)) return false;
-  std::memcpy(v, bytes.data() + at_in, sizeof(T));
-  at = at_in + sizeof(T);
+bool get(std::string_view bytes, size_t& at, T* v) {
+  if (at > bytes.size() || bytes.size() - at < sizeof(T)) return false;
+  std::memcpy(v, bytes.data() + at, sizeof(T));
+  at += sizeof(T);
   return true;
 }
 
-template <typename T>
-bool get(std::string_view bytes, size_t& at, T* v) {
-  return get(bytes, at, at, v);
+uint64_t double_bits(double v) {
+  uint64_t bits = 0;
+  static_assert(sizeof(bits) == sizeof(v));
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+double bits_double(uint64_t bits) {
+  double v = 0;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+// A count read off the wire is damage when `count` items of at least
+// `min_size` bytes each cannot fit in what is left after `at`: this caps
+// what a corrupted count can make a decoder reserve.
+bool count_fits(std::string_view bytes, size_t at, size_t count,
+                size_t min_size) {
+  return count <= (bytes.size() - at) / min_size + 1;
 }
 
 bool get_string(std::string_view bytes, size_t& at, std::string* s) {
@@ -43,50 +59,89 @@ bool get_string(std::string_view bytes, size_t& at, std::string* s) {
 }
 
 // Strings longer than a u16 cannot travel.  The public encoders validate
-// before building, so reaching this with an oversize string is a programmer
-// error — the old behaviour (clamp to 64 KiB) produced frames that
-// checksummed fine but decoded to a record different from what was encoded.
+// with check_u16_len before building, so reaching this with an oversize
+// string is a programmer error; clamping instead would yield a frame that
+// checksums fine but decodes to a different record.
 void put_string(std::string& out, const std::string& s) {
   PS_CHECK(s.size() <= 0xffff);
   put(out, static_cast<uint16_t>(s.size()));
   out.append(s.data(), s.size());
 }
 
-Status check_encodable(const QueryResponse& r) {
-  if (r.record.element.name.size() > 0xffff) {
-    return Status::invalid_argument("wire: element name exceeds 64 KiB: " +
-                                    r.record.element.name.substr(0, 64));
-  }
-  if (r.record.attrs.size() > 0xffff) {
+Status check_u16_len(const std::string& s, const char* what) {
+  if (s.size() <= 0xffff) return Status::ok();
+  return Status::invalid_argument(std::string("wire: ") + what +
+                                  " exceeds 64 KiB: " + s.substr(0, 64));
+}
+
+// --- the record codec --------------------------------------------------------
+// One §4.2 record as both PSB1 frame payloads and stream-data frames carry it:
+//   header := i64 timestamp_ns | u8 quality | u8 fail_code | u32 attempts |
+//             i64 response_time_ns | u16-str element
+// followed by a u16 attr count and the attrs, whose encoding each message
+// kind owns (PSB1: name + value bits; stream: delta modes, see below).
+
+constexpr size_t kMinRecordHeaderSize = 8 + 1 + 1 + 4 + 8 + 2;
+
+// Validates what the record codec cannot carry: names longer than a u16 and
+// more than `max_attrs` attributes (`codec` names the limit in the error).
+Status check_encodable(const QueryResponse& r, size_t max_attrs,
+                       const char* codec) {
+  Status st = check_u16_len(r.record.element.name, "element name");
+  if (!st.is_ok()) return st;
+  if (r.record.attrs.size() > max_attrs) {
     return Status::invalid_argument(
         "wire: element " + r.record.element.name + " has " +
-        std::to_string(r.record.attrs.size()) + " attrs (wire limit 65535)");
+        std::to_string(r.record.attrs.size()) + " attrs (" + codec +
+        " limit " + std::to_string(max_attrs) + ")");
   }
   for (const Attr& a : r.record.attrs) {
-    if (a.name.size() > 0xffff) {
-      return Status::invalid_argument("wire: attr name exceeds 64 KiB: " +
-                                      a.name.substr(0, 64));
-    }
+    st = check_u16_len(a.name, "attr name");
+    if (!st.is_ok()) return st;
   }
   return Status::ok();
 }
 
+void put_record_header(std::string& out, const QueryResponse& r) {
+  put<int64_t>(out, r.record.timestamp.ns());
+  put<uint8_t>(out, static_cast<uint8_t>(r.quality));
+  put<uint8_t>(out, static_cast<uint8_t>(r.fail_code));
+  put<uint32_t>(out, r.attempts);
+  put<int64_t>(out, r.response_time.ns());
+  put_string(out, r.record.element.name);
+}
+
+// False on truncation or an out-of-range quality / fail code.
+bool get_record_header(std::string_view bytes, size_t& at, QueryResponse* r) {
+  int64_t ts = 0, rt = 0;
+  uint8_t quality = 0, fail_code = 0;
+  std::string name;
+  if (!get(bytes, at, &ts) || !get(bytes, at, &quality) ||
+      !get(bytes, at, &fail_code) || !get(bytes, at, &r->attempts) ||
+      !get(bytes, at, &rt) || !get_string(bytes, at, &name) ||
+      quality > static_cast<uint8_t>(DataQuality::kReplica) ||
+      fail_code > static_cast<uint8_t>(StatusCode::kDeadlineExceeded)) {
+    return false;
+  }
+  r->record.timestamp = SimTime::nanos(ts);
+  r->record.element = ElementId{std::move(name)};
+  r->quality = static_cast<DataQuality>(quality);
+  r->fail_code = static_cast<StatusCode>(fail_code);
+  r->response_time = Duration::nanos(rt);
+  return true;
+}
+
+// PSB1 payload := header | u16 attr_count | { u16-str name | u64 bits }*
+constexpr size_t kMinPsb1AttrSize = 2 + 8;
+
 // Builds the payload of an already-validated response.
 std::string encode_payload(const QueryResponse& r) {
   std::string p;
-  put<int64_t>(p, r.record.timestamp.ns());
-  put<uint8_t>(p, static_cast<uint8_t>(r.quality));
-  put<uint8_t>(p, static_cast<uint8_t>(r.fail_code));
-  put<uint32_t>(p, r.attempts);
-  put<int64_t>(p, r.response_time.ns());
-  put_string(p, r.record.element.name);
+  put_record_header(p, r);
   put<uint16_t>(p, static_cast<uint16_t>(r.record.attrs.size()));
   for (const Attr& a : r.record.attrs) {
     put_string(p, a.name);
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(a.value));
-    std::memcpy(&bits, &a.value, sizeof(bits));
-    put(p, bits);
+    put(p, double_bits(a.value));
   }
   return p;
 }
@@ -95,36 +150,19 @@ std::string encode_payload(const QueryResponse& r) {
 // makes that unreachable in practice, but the decoder must not trust it).
 bool decode_payload(std::string_view payload, QueryResponse* r) {
   size_t at = 0;
-  int64_t ts = 0, rt = 0;
-  uint8_t quality = 0, fail_code = 0;
-  uint32_t attempts = 0;
-  if (!get(payload, at, &ts)) return false;
-  if (!get(payload, at, &quality)) return false;
-  if (!get(payload, at, &fail_code)) return false;
-  if (!get(payload, at, &attempts)) return false;
-  if (!get(payload, at, &rt)) return false;
-  if (quality > static_cast<uint8_t>(DataQuality::kReplica)) return false;
-  if (fail_code > static_cast<uint8_t>(StatusCode::kDeadlineExceeded)) {
+  uint16_t n = 0;
+  if (!get_record_header(payload, at, r) || !get(payload, at, &n) ||
+      !count_fits(payload, at, n, kMinPsb1AttrSize)) {
     return false;
   }
-  r->record.timestamp = SimTime::nanos(ts);
-  r->quality = static_cast<DataQuality>(quality);
-  r->fail_code = static_cast<StatusCode>(fail_code);
-  r->attempts = attempts;
-  r->response_time = Duration::nanos(rt);
-  std::string name;
-  if (!get_string(payload, at, &name)) return false;
-  r->record.element = ElementId{std::move(name)};
-  uint16_t n = 0;
-  if (!get(payload, at, &n)) return false;
-  r->record.attrs.clear();
   r->record.attrs.reserve(n);
   for (uint16_t i = 0; i < n; ++i) {
     Attr a;
-    if (!get_string(payload, at, &a.name)) return false;
     uint64_t bits = 0;
-    if (!get(payload, at, &bits)) return false;
-    std::memcpy(&a.value, &bits, sizeof(bits));
+    if (!get_string(payload, at, &a.name) || !get(payload, at, &bits)) {
+      return false;
+    }
+    a.value = bits_double(bits);
     r->record.attrs.push_back(std::move(a));
   }
   return at == payload.size();  // trailing payload bytes = damage
@@ -134,9 +172,8 @@ bool decode_id_list(std::string_view body, size_t& at,
                     std::vector<ElementId>* ids) {
   uint32_t count = 0;
   if (!get(body, at, &count)) return false;
-  // An id needs at least its 2-byte length prefix: cap what a corrupted
-  // count can make us reserve.
-  if (count > (body.size() - at) / 2 + 1) return false;
+  // An id needs at least its 2-byte length prefix.
+  if (!count_fits(body, at, count, 2)) return false;
   ids->clear();
   ids->reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -177,7 +214,7 @@ bool get_u64(std::string_view bytes, size_t& at, uint64_t* v) {
 }
 
 Result<std::string> encode_frame(const QueryResponse& r) {
-  Status st = check_encodable(r);
+  Status st = check_encodable(r, 0xffff, "wire");
   if (!st.is_ok()) return st;
   std::string payload = encode_payload(r);
   if (payload.size() > kMaxPayload) {
@@ -424,8 +461,8 @@ Result<HelloMsg> decode_hello(std::string_view body) {
     return Status::invalid_argument("wire hello structurally damaged");
   }
   // A roster entry costs at least its name length prefix (2) plus an id
-  // count (4): cap what a corrupted count can make us reserve.
-  if (count > (body.size() - at) / 6 + 1) {
+  // count (4).
+  if (!count_fits(body, at, count, 6)) {
     return Status::invalid_argument("wire hello structurally damaged");
   }
   h.roster.reserve(count);
@@ -481,8 +518,7 @@ Result<BatchRequestMsg> decode_batch_request(std::string_view body) {
 
 namespace {
 // Fixed-width portion of an encoded event: its two strings may be empty but
-// each still costs a 2-byte length prefix.  Caps what a corrupted count can
-// make the decoder reserve.
+// each still costs a 2-byte length prefix.
 constexpr size_t kMinEventSize = 8 + 1 + 8 + 8 + 8 + 8 + 2 + 2;
 }  // namespace
 
@@ -493,10 +529,7 @@ std::string encode_trace_data(const TraceDataMsg& t) {
   for (const TraceEvent& e : t.events) {
     put<int64_t>(body, e.t.ns());
     put<uint8_t>(body, static_cast<uint8_t>(e.kind));
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(e.value));
-    std::memcpy(&bits, &e.value, sizeof(bits));
-    put(body, bits);
+    put(body, double_bits(e.value));
     put<uint64_t>(body, e.span_id);
     put<uint64_t>(body, e.parent_span);
     put<int64_t>(body, e.dur.ns());
@@ -513,7 +546,7 @@ Result<TraceDataMsg> decode_trace_data(std::string_view body) {
   if (!get_string(body, at, &t.process) || !get(body, at, &count)) {
     return Status::invalid_argument("wire trace data structurally damaged");
   }
-  if (count > (body.size() - at) / kMinEventSize + 1) {
+  if (!count_fits(body, at, count, kMinEventSize)) {
     return Status::invalid_argument("wire trace data structurally damaged");
   }
   t.events.reserve(count);
@@ -532,7 +565,7 @@ Result<TraceDataMsg> decode_trace_data(std::string_view body) {
     }
     e.t = SimTime::nanos(t_ns);
     e.kind = static_cast<TraceEventKind>(kind);
-    std::memcpy(&e.value, &bits, sizeof(bits));
+    e.value = bits_double(bits);
     e.dur = Duration::nanos(dur_ns);
     t.events.push_back(std::move(e));
   }
@@ -565,8 +598,7 @@ Result<ErrorMsg> decode_error(std::string_view body) {
 // --- push-mode streaming -----------------------------------------------------
 // body   := u16-str agent | u64 seq | i64 window_start_ns |
 //           i64 channel_time_ns | u32 record_count | record*
-// record := i64 timestamp_ns | u8 quality | u8 fail_code | u32 attempts |
-//           i64 response_time_ns | u16-str element | u16 attr_count |
+// record := header (the record codec above) | u16 attr_count |
 //           { u8 mode [| u16-str name] [| payload] }*
 // attr_count bit 15 is the schema-elision flag: when set, this record's
 // attr names (and order) are inherited from the previous frame's same
@@ -581,9 +613,10 @@ Result<ErrorMsg> decode_error(std::string_view body) {
 
 namespace {
 
-// Fixed-width portion of an encoded stream record; caps what a corrupted
-// count can make the decoder reserve.
-constexpr size_t kMinStreamRecordSize = 8 + 1 + 1 + 4 + 8 + 2 + 2;
+// Fixed-width portion of an encoded stream record (header + attr count),
+// and of an attr: an unchanged attr of an elided schema is its mode byte.
+constexpr size_t kMinStreamRecordSize = kMinRecordHeaderSize + 2;
+constexpr size_t kMinStreamAttrSize = 1;
 
 // The previous frame's response for `element`, or null.  Frames keep
 // ascending element-id order, so this is a binary search.
@@ -601,17 +634,8 @@ const QueryResponse* prev_response(const StreamDataMsg* prev,
   return &*it;
 }
 
-uint64_t double_bits(double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-double bits_double(uint64_t bits) {
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
+Status stream_damaged() {
+  return Status::invalid_argument("wire stream data structurally damaged");
 }
 
 }  // namespace
@@ -636,12 +660,10 @@ Result<SubscribeMsg> decode_subscribe(std::string_view body) {
 
 Result<std::string> encode_stream_data(const StreamDataMsg& m,
                                        const StreamDataMsg* prev) {
-  if (m.agent.size() > 0xffff) {
-    return Status::invalid_argument("wire: agent name exceeds 64 KiB: " +
-                                    m.agent.substr(0, 64));
-  }
+  Status st = check_u16_len(m.agent, "agent name");
+  if (!st.is_ok()) return st;
   for (const QueryResponse& r : m.responses) {
-    Status st = check_encodable(r);
+    st = check_encodable(r, 0x7fff, "stream");
     if (!st.is_ok()) return st;
   }
   std::string body;
@@ -651,18 +673,7 @@ Result<std::string> encode_stream_data(const StreamDataMsg& m,
   put<int64_t>(body, m.channel_time.ns());
   put<uint32_t>(body, static_cast<uint32_t>(m.responses.size()));
   for (const QueryResponse& r : m.responses) {
-    put<int64_t>(body, r.record.timestamp.ns());
-    put<uint8_t>(body, static_cast<uint8_t>(r.quality));
-    put<uint8_t>(body, static_cast<uint8_t>(r.fail_code));
-    put<uint32_t>(body, r.attempts);
-    put<int64_t>(body, r.response_time.ns());
-    put_string(body, r.record.element.name);
-    if (r.record.attrs.size() > 0x7fff) {
-      return Status::invalid_argument(
-          "wire: element " + r.record.element.name + " has " +
-          std::to_string(r.record.attrs.size()) +
-          " attrs (stream limit 32767)");
-    }
+    put_record_header(body, r);
     const QueryResponse* base = prev_response(prev, r.record.element);
     // Schema elision: when the base record carries the same attr names in
     // the same order — the steady state — the names are omitted entirely.
@@ -696,11 +707,12 @@ Result<std::string> encode_stream_data(const StreamDataMsg& m,
         } else {
           const double delta = a.value - *pv;
           if (double_bits(*pv + delta) == double_bits(a.value)) {
-            const uint32_t small = static_cast<uint32_t>(delta);
+            // Range check before the cast: a double outside [0, 2^32)
+            // converted to uint32_t is undefined behaviour.
             if (delta >= 0 && delta < 4294967296.0 &&
-                static_cast<double>(small) == delta) {
+                static_cast<double>(static_cast<uint32_t>(delta)) == delta) {
               mode = 2;
-              bits = small;
+              bits = static_cast<uint32_t>(delta);
             } else {
               mode = 1;
               bits = double_bits(delta);
@@ -734,10 +746,10 @@ Result<StreamFrameInfo> peek_stream_data(std::string_view body) {
   if (!get_string(body, at, &info.agent) || !get(body, at, &info.seq) ||
       !get(body, at, &window_ns) || !get(body, at, &channel_ns) ||
       !get(body, at, &info.record_count)) {
-    return Status::invalid_argument("wire stream data structurally damaged");
+    return stream_damaged();
   }
-  if (info.record_count > (body.size() - at) / kMinStreamRecordSize + 1) {
-    return Status::invalid_argument("wire stream data structurally damaged");
+  if (!count_fits(body, at, info.record_count, kMinStreamRecordSize)) {
+    return stream_damaged();
   }
   info.window_start = SimTime::nanos(window_ns);
   return info;
@@ -754,33 +766,20 @@ Result<StreamDataMsg> decode_stream_data(std::string_view body,
   if (!get_string(body, at, &m.agent) || !get(body, at, &m.seq) ||
       !get(body, at, &window_ns) || !get(body, at, &channel_ns) ||
       !get(body, at, &count)) {
-    return Status::invalid_argument("wire stream data structurally damaged");
+    return stream_damaged();
   }
-  if (count > (body.size() - at) / kMinStreamRecordSize + 1) {
-    return Status::invalid_argument("wire stream data structurally damaged");
+  if (!count_fits(body, at, count, kMinStreamRecordSize)) {
+    return stream_damaged();
   }
   m.window_start = SimTime::nanos(window_ns);
   m.channel_time = Duration::nanos(channel_ns);
   m.responses.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     QueryResponse r;
-    int64_t ts = 0, rt = 0;
-    uint8_t quality = 0, fail_code = 0;
-    std::string name;
     uint16_t attrs = 0;
-    if (!get(body, at, &ts) || !get(body, at, &quality) ||
-        !get(body, at, &fail_code) || !get(body, at, &r.attempts) ||
-        !get(body, at, &rt) || !get_string(body, at, &name) ||
-        !get(body, at, &attrs) ||
-        quality > static_cast<uint8_t>(DataQuality::kReplica) ||
-        fail_code > static_cast<uint8_t>(StatusCode::kDeadlineExceeded)) {
-      return Status::invalid_argument("wire stream data structurally damaged");
+    if (!get_record_header(body, at, &r) || !get(body, at, &attrs)) {
+      return stream_damaged();
     }
-    r.record.timestamp = SimTime::nanos(ts);
-    r.record.element = ElementId{std::move(name)};
-    r.quality = static_cast<DataQuality>(quality);
-    r.fail_code = static_cast<StatusCode>(fail_code);
-    r.response_time = Duration::nanos(rt);
     const QueryResponse* base = prev_response(prev, r.record.element);
     const bool same_schema = (attrs & 0x8000) != 0;
     attrs &= 0x7fff;
@@ -791,14 +790,16 @@ Result<StreamDataMsg> decode_stream_data(std::string_view body,
       if (delta_without_base != nullptr) *delta_without_base = true;
       return Status::invalid_argument("wire stream data delta without base");
     }
+    if (!count_fits(body, at, attrs, kMinStreamAttrSize)) {
+      return stream_damaged();
+    }
     r.record.attrs.reserve(attrs);
     for (uint16_t j = 0; j < attrs; ++j) {
       uint8_t mode = 0;
       Attr a;
       if (!get(body, at, &mode) || mode > 3 ||
           (!same_schema && !get_string(body, at, &a.name))) {
-        return Status::invalid_argument(
-            "wire stream data structurally damaged");
+        return stream_damaged();
       }
       if (same_schema) a.name = base->record.attrs[j].name;
       uint64_t bits = 0;
@@ -806,14 +807,10 @@ Result<StreamDataMsg> decode_stream_data(std::string_view body,
         // unchanged: no payload bytes
       } else if (mode == 2) {
         uint32_t small = 0;
-        if (!get(body, at, &small)) {
-          return Status::invalid_argument(
-              "wire stream data structurally damaged");
-        }
+        if (!get(body, at, &small)) return stream_damaged();
         bits = small;
       } else if (!get(body, at, &bits)) {
-        return Status::invalid_argument(
-            "wire stream data structurally damaged");
+        return stream_damaged();
       }
       if (mode == 0) {
         a.value = bits_double(bits);
@@ -841,7 +838,7 @@ Result<StreamDataMsg> decode_stream_data(std::string_view body,
     m.responses.push_back(std::move(r));
   }
   if (at != body.size()) {
-    return Status::invalid_argument("wire stream data structurally damaged");
+    return stream_damaged();
   }
   return m;
 }
@@ -853,17 +850,14 @@ Result<StreamDataMsg> decode_stream_data(std::string_view body,
 
 namespace {
 
-// Fixed-width portion of an encoded hop; caps what a corrupted hop count
-// can make the decoder reserve.
+// Fixed-width portion of an encoded hop.
 constexpr size_t kMinIntHopSize = 2 + 8 + 8 + 1;
 
 }  // namespace
 
 Result<std::string> encode_int_report(const IntReportMsg& m) {
-  if (m.agent.size() > 0xffff) {
-    return Status::invalid_argument("wire: agent name exceeds 64 KiB: " +
-                                    m.agent.substr(0, 64));
-  }
+  Status st = check_u16_len(m.agent, "agent name");
+  if (!st.is_ok()) return st;
   if (m.hops.size() > 0xffff) {
     return Status::invalid_argument(
         "wire: int report of " + std::to_string(m.hops.size()) +
@@ -877,10 +871,8 @@ Result<std::string> encode_int_report(const IntReportMsg& m) {
   put<uint8_t>(body, m.dropped ? 1 : 0);
   put<uint16_t>(body, static_cast<uint16_t>(m.hops.size()));
   for (const IntHopWire& h : m.hops) {
-    if (h.element.name.size() > 0xffff) {
-      return Status::invalid_argument("wire: element name exceeds 64 KiB: " +
-                                      h.element.name.substr(0, 64));
-    }
+    st = check_u16_len(h.element.name, "element name");
+    if (!st.is_ok()) return st;
     if (h.flags > 1) {
       return Status::invalid_argument(
           "wire: int hop carries reserved flag bits");
@@ -909,7 +901,7 @@ Result<IntReportMsg> decode_int_report(std::string_view body) {
       !get(body, at, &flags) || flags > 1 || !get(body, at, &count)) {
     return Status::invalid_argument("wire int report structurally damaged");
   }
-  if (count > (body.size() - at) / kMinIntHopSize + 1) {
+  if (!count_fits(body, at, count, kMinIntHopSize)) {
     return Status::invalid_argument("wire int report structurally damaged");
   }
   m.start = SimTime::nanos(start_ns);

@@ -4,6 +4,7 @@
 
 #include "perfsight/controller.h"
 #include "perfsight/rulebook.h"
+#include "perfsight/wire.h"
 
 namespace perfsight {
 namespace {
@@ -94,32 +95,24 @@ TEST(AgentTest, PollAllCoversEveryElement) {
   EXPECT_EQ(all.size(), 2u);
 }
 
+// Records travel agent -> controller as one PSB1 batch (perfsight/wire.h).
 TEST(WireBatchTest, RoundTripsMultipleRecords) {
-  std::vector<StatsRecord> records(3);
+  BatchResponse batch;
   for (int i = 0; i < 3; ++i) {
-    records[i].timestamp = SimTime::millis(i);
-    records[i].element = ElementId{"el" + std::to_string(i)};
-    records[i].attrs = {{"v", static_cast<double>(i * 10)}};
+    QueryResponse r;
+    r.record.timestamp = SimTime::millis(i);
+    r.record.element = ElementId{"el" + std::to_string(i)};
+    r.record.attrs = {{"v", static_cast<double>(i * 10)}};
+    batch.responses.push_back(std::move(r));
   }
-  std::string msg = to_wire_batch(records);
-  Result<std::vector<StatsRecord>> back = from_wire_batch(msg);
+  wire::DecodeStats st;
+  Result<BatchResponse> back =
+      wire::decode_batch(wire::encode_batch(batch).value(), &st);
   ASSERT_TRUE(back.ok());
-  ASSERT_EQ(back.value().size(), 3u);
-  EXPECT_EQ(back.value()[2].element.name, "el2");
-  EXPECT_EQ(back.value()[2].get("v"), 20.0);
-}
-
-TEST(WireBatchTest, BlankLinesTolerated) {
-  Result<std::vector<StatsRecord>> r =
-      from_wire_batch("\n<1, a>\n\n<2, b>\n\n");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().size(), 2u);
-}
-
-TEST(WireBatchTest, CorruptLineFailsWholeBatch) {
-  Result<std::vector<StatsRecord>> r =
-      from_wire_batch("<1, a>\ngarbage\n<2, b>\n");
-  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(st.complete());
+  ASSERT_EQ(back.value().responses.size(), 3u);
+  EXPECT_EQ(back.value().responses[2].record.element.name, "el2");
+  EXPECT_EQ(back.value().responses[2].record.get("v"), 20.0);
 }
 
 // --- Controller over fake agents ------------------------------------------

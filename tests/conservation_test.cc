@@ -4,17 +4,15 @@
 //  * the stream layer is lossless end-to-end (probe "drops" are counter
 //    signals, not data loss): after the source stops and buffers drain, the
 //    sink has read exactly what the source wrote;
-//  * the wire format round-trips arbitrary records.
+//  * the PSB1 wire format round-trips arbitrary records bit-exactly.
 #include <gtest/gtest.h>
-
-#include <algorithm>
-#include <cmath>
 
 #include "common/rng.h"
 #include "mbox/app.h"
 #include "mbox/presets.h"
 #include "mbox/stream.h"
 #include "perfsight/stats.h"
+#include "perfsight/wire.h"
 #include "sim/simulator.h"
 #include "vm/machine.h"
 
@@ -121,7 +119,7 @@ TEST_P(StreamLossless, SinkReadsExactlyWhatSourceWrote) {
 
 INSTANTIATE_TEST_SUITE_P(VnicSizes, StreamLossless, ::testing::Values(1, 4));
 
-// --- wire-format fuzz round trip ------------------------------------------------
+// --- wire-format fuzz round trip (PSB1 frames) -------------------------------
 
 class WireRoundTrip : public ::testing::TestWithParam<uint64_t> {};
 
@@ -144,15 +142,19 @@ TEST_P(WireRoundTrip, RandomRecordsSurvive) {
                                    : rng.uniform(-1e6, 1e6);
       r.attrs.push_back({"attr" + std::to_string(a), v});
     }
-    Result<StatsRecord> back = from_wire(to_wire(r));
+    QueryResponse q;
+    q.record = r;
+    size_t consumed = 0;
+    Result<QueryResponse> back =
+        wire::decode_frame(wire::encode_frame(q).value(), &consumed);
     ASSERT_TRUE(back.ok()) << to_wire(r);
-    EXPECT_EQ(back.value().element, r.element);
-    EXPECT_EQ(back.value().timestamp.ns(), r.timestamp.ns());
-    ASSERT_EQ(back.value().attrs.size(), r.attrs.size());
+    const StatsRecord& got = back.value().record;
+    EXPECT_EQ(got.element, r.element);
+    EXPECT_EQ(got.timestamp.ns(), r.timestamp.ns());
+    ASSERT_EQ(got.attrs.size(), r.attrs.size());
     for (size_t a = 0; a < r.attrs.size(); ++a) {
-      EXPECT_EQ(back.value().attrs[a].name, r.attrs[a].name);
-      EXPECT_NEAR(back.value().attrs[a].value, r.attrs[a].value,
-                  1e-6 * std::max(1.0, std::fabs(r.attrs[a].value)));
+      EXPECT_EQ(got.attrs[a].name, r.attrs[a].name);
+      EXPECT_EQ(got.attrs[a].value, r.attrs[a].value);  // bit-exact
     }
   }
 }

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "perfsight/agent.h"
 
 namespace perfsight {
@@ -62,13 +64,15 @@ TEST(HotpathTest, InstrumentationDoesNotChangeResults) {
             run_hotpath(instrumented, 500).checksum);
 }
 
+// Wall-clock bounds on these costs are SHAPE-CHECKs in
+// bench/table2_time_counter; a unit test only checks the probes work.
 TEST(HotpathTest, CounterCostProbesReturnSaneValues) {
-  double simple_ns = measure_simple_counter_ns(500000);
-  double timer_ns = measure_time_counter_ns(50000);
+  const double simple_ns = measure_simple_counter_ns(500000);
+  const double timer_ns = measure_time_counter_ns(50000);
+  EXPECT_TRUE(std::isfinite(simple_ns));
   EXPECT_GT(simple_ns, 0.0);
-  EXPECT_LT(simple_ns, 100.0);  // an add, not a syscall
-  EXPECT_GT(timer_ns, simple_ns);  // two clock reads cost more than an add
-  EXPECT_LT(timer_ns, 5000.0);
+  EXPECT_TRUE(std::isfinite(timer_ns));
+  EXPECT_GT(timer_ns, 0.0);
 }
 
 TEST(HotpathStatsSourceTest, ExportsLiveCounters) {
