@@ -77,7 +77,7 @@ int main() {
   // it breaches — one-shot diagnosis turned into continuous monitoring.
   ContentionDetector detector(dep.controller(), RuleBook::standard());
   detector.set_loss_threshold(100);
-  detector.set_metrics(dep.metrics());  // self-profile diagnosis latency
+  dep.metrics()->add_detector(&detector);  // self-profile diagnosis latency
   AlertWatcher watcher(&monitor, &detector, nullptr);
   AlertRule rule;
   rule.name = "tun-drop-rate";

@@ -46,7 +46,7 @@ class Deployment {
     // Multi-element controller queries (get_attr_many and everything built
     // on it) scatter per-agent batches over the same collection pool.
     controller_.set_pool(&pool_);
-    controller_.set_metrics(&metrics_);
+    metrics_.add_controller(&controller_);
   }
 
   sim::Simulator* simulator() { return sim_; }
@@ -57,7 +57,8 @@ class Deployment {
   ThreadPool* pool() { return &pool_; }
 
   // Deployment-wide metrics registry: every agent added below is scraped by
-  // expose(), so one endpoint covers the whole cluster.
+  // expose(), and the controller and every remote agent's transport are
+  // registered with it, so one endpoint covers the whole cluster.
   MetricsRegistry* metrics() { return &metrics_; }
 
   Agent* add_agent(const std::string& name) {
@@ -92,8 +93,8 @@ class Deployment {
     if (breaker_set_) remote->set_breaker_config(breaker_);
     Status st = remote->connect();
     if (!st.is_ok()) return st;
-    remote->set_metrics(&metrics_);
     RemoteAgent* r = remote.get();
+    metrics_.add_transport(r);
     remote_agents_.push_back(std::move(remote));
     controller_.register_agent(r);
     return r;
@@ -131,8 +132,8 @@ class Deployment {
     std::vector<RemoteAgent*> out;
     out.reserve(pending.size());
     for (auto& remote : pending) {
-      remote->set_metrics(&metrics_);
       RemoteAgent* r = remote.get();
+      metrics_.add_transport(r);
       remote_agents_.push_back(std::move(remote));
       controller_.register_agent(r);
       out.push_back(r);

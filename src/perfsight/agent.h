@@ -50,7 +50,7 @@
 #include "common/threadpool.h"
 #include "common/units.h"
 #include "perfsight/faults.h"
-#include "perfsight/metrics.h"
+#include "perfsight/histogram.h"
 #include "perfsight/stats.h"
 #include "perfsight/stats_source.h"
 #include "perfsight/trace.h"
@@ -165,8 +165,8 @@ class AgentClient {
                                     SimTime now, ThreadPool* pool = nullptr) = 0;
 };
 
-// Running totals of the fault machinery, per agent.  Scraped into the
-// MetricsRegistry exposition; read under the agent lock via fault_stats().
+// Running totals of the fault machinery, per agent.  Read under the agent
+// lock via fault_stats(); the metrics registry renders them at scrape time.
 struct AgentFaultStats {
   uint64_t faults_injected = 0;   // fault-plan decisions != kNone
   uint64_t retries = 0;           // attempts after the first
@@ -262,8 +262,9 @@ class Agent : public AgentClient {
 
   // Self-profiling: distribution of modelled channel delays this agent has
   // paid, per channel kind (the live Fig. 9 data).  Always on; one observe
-  // per channel round trip.  Read when no poll is in flight.
-  const LatencyHistogram& channel_latency(ChannelKind kind) const {
+  // per channel round trip.  A snapshot taken under the agent lock.
+  LatencyHistogram channel_latency(ChannelKind kind) const {
+    std::lock_guard<std::mutex> lock(mu_);
     return channel_hist_[static_cast<size_t>(kind)];
   }
 

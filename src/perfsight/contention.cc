@@ -73,12 +73,9 @@ ContentionReport ContentionDetector::diagnose(TenantId tenant, Duration window,
   auto finish = [&](const ContentionReport& r) {
     const SimTime t1 = controller_->now();
     const Duration cost = (t1 - t0) + (controller_->channel_time() - ch0);
-    if (metrics_ != nullptr) {
-      metrics_
-          ->histogram("perfsight_contention_diagnosis_seconds",
-                      "End-to-end Algorithm 1 cost: measurement window plus "
-                      "modelled channel time")
-          .observe(cost.sec());
+    {
+      std::lock_guard<std::mutex> lock(latency_mu_);
+      latency_.observe(cost.sec());
     }
     trace_event(kAlgo1Id, t1, TraceEventKind::kDiagnosisCompleted, cost.ms(),
                 r.problem_found ? "problem found" : "healthy");

@@ -15,12 +15,13 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/threadpool.h"
 #include "perfsight/controller.h"
-#include "perfsight/metrics.h"
+#include "perfsight/histogram.h"
 #include "perfsight/rulebook.h"
 
 namespace perfsight {
@@ -68,11 +69,6 @@ class ContentionDetector {
   // (filters measurement noise).
   void set_loss_threshold(int64_t pkts) { loss_threshold_ = pkts; }
 
-  // Self-profiling sink: each diagnose() observes its end-to-end cost
-  // (measurement window + modelled channel time) into
-  // perfsight_contention_diagnosis_seconds.  Optional; not owned.
-  void set_metrics(MetricsRegistry* m) { metrics_ = m; }
-
   // Collection pool for the stack sweeps: the two sample sweeps fan their
   // per-element queries out across workers and merge by element index, so
   // the report is byte-identical to the sequential scan.  Optional; not
@@ -82,12 +78,21 @@ class ContentionDetector {
   ContentionReport diagnose(TenantId tenant, Duration window,
                             const AuxSignals& aux = {}) const;
 
+  // Self-profiling: the end-to-end cost (measurement window + modelled
+  // channel time) of every diagnose() so far.  A snapshot taken under the
+  // detector's lock.
+  LatencyHistogram diagnosis_latency() const {
+    std::lock_guard<std::mutex> lock(latency_mu_);
+    return latency_;
+  }
+
  private:
   const Controller* controller_;
   RuleBook rulebook_;
   int64_t loss_threshold_ = 1;
-  MetricsRegistry* metrics_ = nullptr;
   ThreadPool* pool_ = nullptr;
+  mutable std::mutex latency_mu_;
+  mutable LatencyHistogram latency_;
 };
 
 std::string to_text(const ContentionReport& report);

@@ -142,30 +142,6 @@ AgentClient* Controller::locate(TenantId tenant, const ElementId& id) const {
   return nullptr;
 }
 
-void Controller::set_metrics(MetricsRegistry* m) {
-  metrics_ = m;
-  if (m == nullptr) {
-    m_queries_ = m_scatters_ = m_scatter_agents_ = nullptr;
-    m_batch_channel_s_ = nullptr;
-    return;
-  }
-  // Created once here: instrument creation mutates the registry's family
-  // vectors (not thread-safe), but the instruments themselves have stable
-  // addresses, so the query paths only touch these pointers — under
-  // cost_mu_.
-  m_queries_ =
-      &m->counter("perfsight_controller_queries_total",
-                  "Element queries the controller issued", "path=\"batch\"");
-  m_scatters_ = &m->counter("perfsight_controller_batch_scatters_total",
-                            "Controller queries fanned out as agent batches");
-  m_scatter_agents_ =
-      &m->counter("perfsight_controller_batch_agents_total",
-                  "Per-agent batches issued by scatter-gather fan-outs");
-  m_batch_channel_s_ =
-      &m->histogram("perfsight_controller_batch_channel_seconds",
-                    "Modelled channel time per scatter-gather fan-out");
-}
-
 Result<Controller::QualifiedRecord> Controller::get_attr_q(
     TenantId tenant, const ElementId& id,
     const std::vector<std::string>& attrs) const {
@@ -356,17 +332,11 @@ std::vector<Result<Controller::QualifiedRecord>> Controller::scatter_gather(
 
   {
     std::lock_guard<std::mutex> lock(cost_mu_);
-    queries_issued_ += ok_slots;
-    channel_time_ns_ += total_channel.ns();
-    if (m_queries_ != nullptr) m_queries_->add(ok_slots);
-    if (m_scatters_ != nullptr) m_scatters_->increment();
-    if (m_scatter_agents_ != nullptr) {
-      m_scatter_agents_->add(groups.size() + mgroups.size());
-    }
-    if (m_batch_channel_s_ != nullptr) {
-      m_batch_channel_s_->observe(static_cast<double>(total_channel.ns()) /
-                                  1e9);
-    }
+    cost_.queries += ok_slots;
+    cost_.channel_time = cost_.channel_time + total_channel;
+    ++cost_.scatters;
+    cost_.agent_batches += groups.size() + mgroups.size();
+    cost_.batch_channel.observe(static_cast<double>(total_channel.ns()) / 1e9);
   }
   trace_event(controller_trace_id(), now, TraceEventKind::kControllerGather,
               static_cast<double>(served), "gather");

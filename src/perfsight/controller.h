@@ -20,7 +20,7 @@
 #include "common/threadpool.h"
 #include "common/units.h"
 #include "perfsight/agent.h"
-#include "perfsight/metrics.h"
+#include "perfsight/histogram.h"
 #include "perfsight/stats.h"
 #include "perfsight/topology.h"
 
@@ -91,27 +91,25 @@ class Controller {
   // sequentially.  The deployment layer wires its pool in.
   void set_pool(ThreadPool* pool) { pool_ = pool; }
 
-  // Metrics sink for the perfsight_controller_batch_* series.  Instruments
-  // are created once here (stable addresses) so the hot paths never touch
-  // the registry's family vectors; not owned.
-  void set_metrics(MetricsRegistry* m);
-
   // --- self-profiling --------------------------------------------------------
   // Cumulative cost of the queries this controller has issued: how many,
   // and how much modelled channel time they spent (the per-query latencies
   // of Fig. 9, summed — batched queries add one amortised round trip per
   // channel kind, which is the saving).  Diagnosis applications read deltas
-  // around a run to report what the run itself cost.  The two tallies are
-  // kept under one mutex so a snapshot is never torn: the old pair of
+  // around a run to report what the run itself cost.  Every tally is kept
+  // under one mutex so a snapshot is never torn: the old pair of
   // independent relaxed atomics let a reader observe the query count of one
   // sweep with the channel time of another.
   struct CostSnapshot {
     uint64_t queries = 0;
     Duration channel_time;
+    uint64_t scatters = 0;        // scatter-gather fan-outs
+    uint64_t agent_batches = 0;   // per-agent batches those fan-outs issued
+    LatencyHistogram batch_channel;  // modelled channel time per fan-out
   };
   CostSnapshot cost() const {
     std::lock_guard<std::mutex> lock(cost_mu_);
-    return CostSnapshot{queries_issued_, Duration::nanos(channel_time_ns_)};
+    return cost_;
   }
   uint64_t queries_issued() const { return cost().queries; }
   Duration channel_time() const { return cost().channel_time; }
@@ -197,21 +195,11 @@ class Controller {
   AdvanceFn advance_;
   NowFn now_;
   // get_attr is logically const (a read); the cost bookkeeping is not state
-  // the read depends on.  One mutex guards both tallies and the metric
-  // bumps so snapshots are never torn (see cost()).
+  // the read depends on.  One mutex guards every tally so snapshots are
+  // never torn (see cost()).
   mutable std::mutex cost_mu_;
-  mutable uint64_t queries_issued_ = 0;
-  mutable int64_t channel_time_ns_ = 0;
+  mutable CostSnapshot cost_;
   ThreadPool* pool_ = nullptr;
-  MetricsRegistry* metrics_ = nullptr;
-  // Instruments cached at set_metrics time: creation mutates the registry's
-  // family vectors (not thread-safe), but the instruments themselves have
-  // stable addresses, so the hot paths only ever touch these pointers —
-  // under cost_mu_.
-  MetricsRegistry::CounterMetric* m_queries_ = nullptr;
-  MetricsRegistry::CounterMetric* m_scatters_ = nullptr;
-  MetricsRegistry::CounterMetric* m_scatter_agents_ = nullptr;
-  LatencyHistogram* m_batch_channel_s_ = nullptr;
   std::vector<AgentClient*> agents_;
   std::unordered_map<TenantId, std::unordered_map<ElementId, AgentClient*>>
       vnet_;

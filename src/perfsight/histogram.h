@@ -89,4 +89,62 @@ class PacketSizeHistogram {
   std::array<uint64_t, kBuckets> counts_ = {};
 };
 
+// Histogram of latencies in seconds over fixed exponential buckets
+// (1 us .. 4 s, x4 steps, plus +Inf): PerfSight's self-profiling
+// distribution.  Cheap enough to leave always on: one observe is a
+// comparison walk over 12 bounds and two adds.
+class LatencyHistogram {
+ public:
+  static constexpr std::array<double, 12> kBoundsSec = {
+      1e-6, 4e-6, 16e-6, 64e-6, 256e-6, 1e-3,
+      4e-3, 16e-3, 64e-3, 256e-3, 1.0,  4.0};
+  static constexpr size_t kBuckets = kBoundsSec.size() + 1;
+
+  void observe(double seconds) {
+    ++counts_[bucket_for(seconds)];
+    ++count_;
+    sum_ += seconds;
+  }
+
+  // Adds `other`'s observations to this histogram.
+  void merge(const LatencyHistogram& other) {
+    for (size_t i = 0; i < kBuckets; ++i) counts_[i] += other.counts_[i];
+    count_ += other.count_;
+    sum_ += other.sum_;
+  }
+
+  static size_t bucket_for(double seconds) {
+    for (size_t i = 0; i < kBoundsSec.size(); ++i) {
+      if (seconds <= kBoundsSec[i]) return i;
+    }
+    return kBoundsSec.size();
+  }
+
+  uint64_t count() const { return count_; }
+  double sum() const { return sum_; }
+  uint64_t bucket_count(size_t i) const { return counts_[i]; }
+
+  // Approximate quantile by bucket upper bound; 0 when empty.  The rank is
+  // 1-based and clamped, so q<=0 picks the first non-empty bucket and q>=1
+  // the last one.  The +Inf bucket has no finite representative; it
+  // reports the largest finite bound.
+  double approx_quantile(double q) const {
+    if (count_ == 0) return 0;
+    uint64_t target =
+        static_cast<uint64_t>(std::ceil(q * static_cast<double>(count_)));
+    target = std::min(std::max<uint64_t>(target, 1), count_);
+    uint64_t seen = 0;
+    for (size_t i = 0; i < kBoundsSec.size(); ++i) {
+      seen += counts_[i];
+      if (seen >= target) return kBoundsSec[i];
+    }
+    return kBoundsSec.back();
+  }
+
+ private:
+  std::array<uint64_t, kBuckets> counts_ = {};
+  uint64_t count_ = 0;
+  double sum_ = 0;
+};
+
 }  // namespace perfsight

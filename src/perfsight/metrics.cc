@@ -1,33 +1,20 @@
 #include "perfsight/metrics.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "common/threadpool.h"
 #include "perfsight/agent.h"
+#include "perfsight/contention.h"
+#include "perfsight/controller.h"
 #include "perfsight/faults.h"
 #include "perfsight/json_export.h"
+#include "perfsight/remote_agent.h"
+#include "perfsight/rootcause.h"
+#include "perfsight/streaming.h"
 #include "perfsight/trace.h"
 
 namespace perfsight {
-
-double LatencyHistogram::approx_quantile(double q) const {
-  if (count_ == 0) return 0;
-  // 1-based rank, clamped so q<=0 picks the first non-empty bucket and
-  // q>=1 the last one (the naive floor/strictly-greater walk fell off the
-  // histogram at q=1.0).  The +Inf bucket has no finite representative;
-  // report the largest finite bound.
-  uint64_t target =
-      static_cast<uint64_t>(std::ceil(q * static_cast<double>(count_)));
-  target = std::min(std::max<uint64_t>(target, 1), count_);
-  uint64_t seen = 0;
-  for (size_t i = 0; i < kBoundsSec.size(); ++i) {
-    seen += counts_[i];
-    if (seen >= target) return kBoundsSec[i];
-  }
-  return kBoundsSec.back();
-}
 
 std::string prom_escape(const std::string& s) {
   std::string out;
@@ -50,37 +37,90 @@ std::string prom_escape(const std::string& s) {
   return out;
 }
 
-template <typename T>
-T& MetricsRegistry::find_or_add(std::vector<Family<T>>& families,
-                                const std::string& name,
-                                const std::string& help,
-                                const std::string& labels) {
-  for (Family<T>& f : families) {
-    if (f.name == name && f.labels == labels) return *f.metric;
-  }
-  families.push_back(Family<T>{name, help, labels, std::make_unique<T>()});
-  return *families.back().metric;
-}
-
-MetricsRegistry::Gauge& MetricsRegistry::gauge(const std::string& name,
-                                               const std::string& help,
-                                               const std::string& labels) {
-  return find_or_add(gauges_, name, help, labels);
-}
-
-MetricsRegistry::CounterMetric& MetricsRegistry::counter(
-    const std::string& name, const std::string& help,
-    const std::string& labels) {
-  return find_or_add(counters_, name, help, labels);
-}
-
-LatencyHistogram& MetricsRegistry::histogram(const std::string& name,
-                                             const std::string& help,
-                                             const std::string& labels) {
-  return find_or_add(histograms_, name, help, labels);
-}
-
 namespace {
+
+// --- every family the registry renders ---------------------------------------
+struct FamilyDef {
+  const char* name;
+  const char* type;
+  const char* help;
+};
+
+constexpr FamilyDef kElementStat{
+    "perfsight_element_stat", "gauge",
+    "Element attribute scraped via the owning agent's channel"};
+constexpr FamilyDef kChannelLatency{
+    "perfsight_agent_channel_latency_seconds", "histogram",
+    "Modelled agent-to-element fetch latency per channel kind"};
+constexpr FamilyDef kFaultEvents{
+    "perfsight_agent_fault_events_total", "counter",
+    "Channel faults injected and absorbed by the agent's retry/breaker "
+    "machinery"};
+constexpr FamilyDef kBreakerState{
+    "perfsight_agent_breaker_state", "gauge",
+    "Circuit breaker position per channel kind (0 closed, 1 open, 2 "
+    "half-open)"};
+constexpr FamilyDef kCampaignActive{
+    "perfsight_fault_campaign_active", "gauge",
+    "Whether any scheduled outage window covers the current time"};
+constexpr FamilyDef kControllerQueries{
+    "perfsight_controller_queries_total", "counter",
+    "Element queries the controller issued"};
+constexpr FamilyDef kControllerScatters{
+    "perfsight_controller_batch_scatters_total", "counter",
+    "Controller queries fanned out as agent batches"};
+constexpr FamilyDef kControllerAgentBatches{
+    "perfsight_controller_batch_agents_total", "counter",
+    "Per-agent batches issued by scatter-gather fan-outs"};
+constexpr FamilyDef kTransportConnects{
+    "perfsight_transport_connects_total", "counter",
+    "Successful dial+hello handshakes"};
+constexpr FamilyDef kTransportReconnects{
+    "perfsight_transport_reconnects_total", "counter",
+    "Connections re-established after loss"};
+constexpr FamilyDef kTransportBatches{
+    "perfsight_transport_batches_total", "counter",
+    "Batch round trips attempted over the socket"};
+constexpr FamilyDef kTransportDamaged{
+    "perfsight_transport_damaged_batches_total", "counter",
+    "Batches that arrived short or corrupt"};
+constexpr FamilyDef kAcceptErrors{
+    "perfsight_transport_accept_errors_total", "counter",
+    "Listener accept failures that were real errors (EMFILE, ...), each "
+    "backing the accept path off instead of hot-spinning"};
+constexpr FamilyDef kStreamFrames{
+    "perfsight_stream_frames_applied_total", "counter",
+    "Stream frames absorbed into the window cache"};
+constexpr FamilyDef kStreamGaps{"perfsight_stream_gaps_total", "counter",
+                                "Stream frames refused for a sequence gap"};
+constexpr FamilyDef kStreamRepairs{
+    "perfsight_stream_repairs_total", "counter",
+    "Windows backfilled by targeted repair pulls"};
+constexpr FamilyDef kStreamBytes{
+    "perfsight_stream_bytes_applied_total", "counter",
+    "Encoded stream bytes accepted into the cache"};
+constexpr FamilyDef kBatchChannel{
+    "perfsight_controller_batch_channel_seconds", "histogram",
+    "Modelled channel time per scatter-gather fan-out"};
+constexpr FamilyDef kContentionDiagnosis{
+    "perfsight_contention_diagnosis_seconds", "histogram",
+    "End-to-end Algorithm 1 cost: measurement window plus modelled channel "
+    "time"};
+constexpr FamilyDef kRootCauseDiagnosis{
+    "perfsight_rootcause_diagnosis_seconds", "histogram",
+    "End-to-end Algorithm 2 cost: measurement window plus modelled channel "
+    "time"};
+constexpr FamilyDef kTraceEvents{"perfsight_trace_events_total", "counter",
+                                 "Events recorded by the flight recorder"};
+constexpr FamilyDef kTraceDropped{"perfsight_trace_dropped_events_total",
+                                  "counter", "Events overwritten in full rings"};
+constexpr FamilyDef kRingEvents{"perfsight_trace_ring_events", "gauge",
+                                "Live events in the element's trace ring"};
+constexpr FamilyDef kRingCapacity{"perfsight_trace_ring_capacity", "gauge",
+                                  "Ring capacity for the element"};
+constexpr FamilyDef kRingDropped{
+    "perfsight_trace_ring_dropped_events_total", "counter",
+    "Events the ring overwrote before they were exported"};
 
 std::string le_label(size_t bucket) {
   if (bucket >= LatencyHistogram::kBoundsSec.size()) return "+Inf";
@@ -89,145 +129,148 @@ std::string le_label(size_t bucket) {
   return buf;
 }
 
-void emit_histogram(std::string& out, const std::string& name,
-                    const std::string& labels, const LatencyHistogram& h) {
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
-    cumulative += h.bucket_count(i);
-    out += name + "_bucket{" + labels + (labels.empty() ? "" : ",") +
-           "le=\"" + le_label(i) + "\"} " + std::to_string(cumulative) + "\n";
+// The families of one scrape, in first-use order.  However late a sample
+// is added, it renders under its family's one HELP/TYPE pair, next to the
+// family's other samples.
+class Exposition {
+ public:
+  // The sample text of `def`'s family; the family is declared on first use
+  // and rendered even if it never gets a sample.
+  std::string& family(const FamilyDef& def) {
+    for (auto& [d, samples] : families_) {
+      if (d == &def) return samples;
+    }
+    families_.emplace_back(&def, std::string());
+    return families_.back().second;
   }
-  out += name + "_sum" + (labels.empty() ? "" : "{" + labels + "}") + " " +
-         json::number(h.sum()) + "\n";
-  out += name + "_count" + (labels.empty() ? "" : "{" + labels + "}") + " " +
-         std::to_string(h.count()) + "\n";
-}
 
-void emit_header(std::string& out, std::string& last_family,
-                 const std::string& name, const std::string& help,
-                 const char* type) {
-  if (name == last_family) return;  // one HELP/TYPE per family
-  last_family = name;
-  out += "# HELP " + name + " " + help + "\n";
-  out += "# TYPE " + name + " " + std::string(type) + "\n";
+  void sample(const FamilyDef& def, const std::string& labels,
+              const std::string& value) {
+    std::string& out = family(def);
+    out += def.name;
+    if (!labels.empty()) out += "{" + labels + "}";
+    out += " " + value + "\n";
+  }
+  void counter(const FamilyDef& def, const std::string& labels, uint64_t v) {
+    sample(def, labels, std::to_string(v));
+  }
+  void histogram(const FamilyDef& def, const std::string& labels,
+                 const LatencyHistogram& h) {
+    std::string& out = family(def);
+    const std::string name = def.name;
+    uint64_t cumulative = 0;
+    for (size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
+      cumulative += h.bucket_count(i);
+      out += name + "_bucket{" + labels + (labels.empty() ? "" : ",") +
+             "le=\"" + le_label(i) + "\"} " + std::to_string(cumulative) +
+             "\n";
+    }
+    const std::string braced = labels.empty() ? "" : "{" + labels + "}";
+    out += name + "_sum" + braced + " " + json::number(h.sum()) + "\n";
+    out += name + "_count" + braced + " " + std::to_string(h.count()) + "\n";
+  }
+
+  std::string render() const {
+    std::string out;
+    for (const auto& [def, samples] : families_) {
+      out += std::string("# HELP ") + def->name + " " + def->help + "\n";
+      out += std::string("# TYPE ") + def->name + " " + def->type + "\n";
+      out += samples;
+    }
+    return out;
+  }
+
+ private:
+  std::vector<std::pair<const FamilyDef*, std::string>> families_;
+};
+
+std::string element_stat_lines(const std::string& agent,
+                               const std::vector<QueryResponse>& responses) {
+  std::string out;
+  for (const QueryResponse& resp : responses) {
+    const StatsRecord& r = resp.record;
+    for (const Attr& at : r.attrs) {
+      out += "perfsight_element_stat{agent=\"" + prom_escape(agent) +
+             "\",element=\"" + prom_escape(r.element.name) + "\",attr=\"" +
+             prom_escape(at.name) + "\"} " + json::number(at.value) + "\n";
+    }
+  }
+  return out;
 }
 
 }  // namespace
 
 std::string MetricsRegistry::expose(SimTime now) const {
-  std::string out;
+  Exposition ex;
 
   // --- element counters, scraped through the agents ------------------------
   if (!agents_.empty() || !agent_clients_.empty()) {
-    out += "# HELP perfsight_element_stat Element attribute scraped via the "
-           "owning agent's channel\n";
-    out += "# TYPE perfsight_element_stat gauge\n";
     // One scrape task per agent: each agent polls its own elements (own
     // RNG, own histograms) into a private buffer; buffers concatenate in
     // registration order, so the exposition is byte-identical whether the
     // agents were scraped serially or across the pool.
     std::vector<std::string> blocks(agents_.size());
     parallel_for_or_inline(pool_, agents_.size(), [&](size_t i) {
-      Agent* a = agents_[i];
-      std::string& blk = blocks[i];
-      for (const QueryResponse& resp : a->poll_all(now)) {
-        const StatsRecord& r = resp.record;
-        for (const Attr& at : r.attrs) {
-          blk += "perfsight_element_stat{agent=\"" + prom_escape(a->name()) +
-                 "\",element=\"" + prom_escape(r.element.name) +
-                 "\",attr=\"" + prom_escape(at.name) + "\"} " +
-                 json::number(at.value) + "\n";
-        }
-      }
+      blocks[i] = element_stat_lines(agents_[i]->name(),
+                                     agents_[i]->poll_all(now));
     });
-    for (const std::string& blk : blocks) out += blk;
+    std::string& stats = ex.family(kElementStat);
+    for (const std::string& blk : blocks) stats += blk;
 
     // Client-wrapped agents scrape through query_batch — over a socket this
     // is the full wire round trip, so the scrape proves the remote path,
     // and a transport loss degrades to kMissing records (no attrs, so the
     // element simply emits no gauges this scrape).
     for (AgentClient* c : agent_clients_) {
-      const BatchResponse b = c->query_batch(c->element_ids(), now);
-      for (const QueryResponse& resp : b.responses) {
-        const StatsRecord& r = resp.record;
-        for (const Attr& at : r.attrs) {
-          out += "perfsight_element_stat{agent=\"" + prom_escape(c->name()) +
-                 "\",element=\"" + prom_escape(r.element.name) +
-                 "\",attr=\"" + prom_escape(at.name) + "\"} " +
-                 json::number(at.value) + "\n";
-        }
-      }
+      stats += element_stat_lines(
+          c->name(), c->query_batch(c->element_ids(), now).responses);
     }
   }
 
   if (!agents_.empty()) {
     // --- agent self-profiling: channel latency distributions ---------------
-    out += "# HELP perfsight_agent_channel_latency_seconds Modelled "
-           "agent-to-element fetch latency per channel kind\n";
-    out += "# TYPE perfsight_agent_channel_latency_seconds histogram\n";
+    ex.family(kChannelLatency);
     for (Agent* a : agents_) {
       for (size_t k = 0; k < kNumChannelKinds; ++k) {
-        const LatencyHistogram& h =
-            a->channel_latency(static_cast<ChannelKind>(k));
+        const auto kind = static_cast<ChannelKind>(k);
+        const LatencyHistogram h = a->channel_latency(kind);
         if (h.count() == 0) continue;
-        std::string labels = "agent=\"" + prom_escape(a->name()) +
-                             "\",channel=\"" +
-                             to_string(static_cast<ChannelKind>(k)) + "\"";
-        emit_histogram(out, "perfsight_agent_channel_latency_seconds", labels,
-                       h);
+        ex.histogram(kChannelLatency,
+                     "agent=\"" + prom_escape(a->name()) + "\",channel=\"" +
+                         to_string(kind) + "\"",
+                     h);
       }
     }
 
     // --- agent fault machinery -----------------------------------------------
     // Emitted only for agents whose fault counters have moved: with no fault
     // plan installed the exposition stays byte-identical to the pre-fault
-    // format.
-    bool any_faults = false;
+    // format.  The live breaker position per agent x channel kind rides
+    // along, so a dashboard can tell "open right now" from "opened at some
+    // point".
     for (Agent* a : agents_) {
-      if (a->fault_stats().any()) {
-        any_faults = true;
-        break;
+      const AgentFaultStats fs = a->fault_stats();
+      if (!fs.any()) continue;
+      const std::string agent = "agent=\"" + prom_escape(a->name()) + "\"";
+      for (const auto& [kind, v] :
+           {std::pair<const char*, uint64_t>{"faults_injected",
+                                             fs.faults_injected},
+            {"retries", fs.retries},
+            {"exhausted", fs.exhausted},
+            {"deadline_hits", fs.deadline_hits},
+            {"stale_served", fs.stale_served},
+            {"torn_reads", fs.torn_reads},
+            {"breaker_opened", fs.breaker_opened},
+            {"breaker_closed", fs.breaker_closed},
+            {"breaker_fast_fails", fs.breaker_fast_fails},
+            {"crashes", fs.crashes}}) {
+        ex.counter(kFaultEvents, agent + ",kind=\"" + kind + "\"", v);
       }
-    }
-    if (any_faults) {
-      out += "# HELP perfsight_agent_fault_events_total Channel faults "
-             "injected and absorbed by the agent's retry/breaker machinery\n";
-      out += "# TYPE perfsight_agent_fault_events_total counter\n";
-      for (Agent* a : agents_) {
-        const AgentFaultStats fs = a->fault_stats();
-        if (!fs.any()) continue;
-        const std::string prefix = "perfsight_agent_fault_events_total{agent="
-                                   "\"" + prom_escape(a->name()) + "\",kind=\"";
-        auto emit = [&](const char* kind, uint64_t v) {
-          out += prefix + kind + "\"} " + std::to_string(v) + "\n";
-        };
-        emit("faults_injected", fs.faults_injected);
-        emit("retries", fs.retries);
-        emit("exhausted", fs.exhausted);
-        emit("deadline_hits", fs.deadline_hits);
-        emit("stale_served", fs.stale_served);
-        emit("torn_reads", fs.torn_reads);
-        emit("breaker_opened", fs.breaker_opened);
-        emit("breaker_closed", fs.breaker_closed);
-        emit("breaker_fast_fails", fs.breaker_fast_fails);
-        emit("crashes", fs.crashes);
-      }
-
-      // Live breaker position per agent x channel kind, so a dashboard can
-      // tell "open right now" from "opened at some point" (the counters
-      // above).  Same any_faults gate: fault-free exposition is unchanged.
-      out += "# HELP perfsight_agent_breaker_state Circuit breaker position "
-             "per channel kind (0 closed, 1 open, 2 half-open)\n";
-      out += "# TYPE perfsight_agent_breaker_state gauge\n";
-      for (Agent* a : agents_) {
-        if (!a->fault_stats().any()) continue;
-        for (size_t k = 0; k < kNumChannelKinds; ++k) {
-          const BreakerState bs = a->breaker_state(static_cast<ChannelKind>(k));
-          out += "perfsight_agent_breaker_state{agent=\"" +
-                 prom_escape(a->name()) + "\",channel=\"" +
-                 to_string(static_cast<ChannelKind>(k)) + "\"} " +
-                 std::to_string(static_cast<int>(bs)) + "\n";
-        }
+      for (size_t k = 0; k < kNumChannelKinds; ++k) {
+        const auto channel = static_cast<ChannelKind>(k);
+        ex.sample(kBreakerState,
+                  agent + ",channel=\"" + to_string(channel) + "\"",
+                  std::to_string(static_cast<int>(a->breaker_state(channel))));
       }
     }
   }
@@ -237,75 +280,79 @@ std::string MetricsRegistry::expose(SimTime now) const {
   // host outages / rolling upgrades), so plans of pure Bernoulli faults —
   // and fault-free runs — keep their exact exposition.
   if (fault_plan_ != nullptr && fault_plan_->has_campaign()) {
-    out += "# HELP perfsight_fault_campaign_active Whether any scheduled "
-           "outage window covers the current time\n";
-    out += "# TYPE perfsight_fault_campaign_active gauge\n";
-    out += std::string("perfsight_fault_campaign_active ") +
-           (fault_plan_->campaign_active(now) ? "1" : "0") + "\n";
+    ex.sample(kCampaignActive, "", fault_plan_->campaign_active(now) ? "1" : "0");
   }
 
-  // --- registered instruments ----------------------------------------------
-  std::string last_family;
-  for (const Family<Gauge>& f : gauges_) {
-    emit_header(out, last_family, f.name, f.help, "gauge");
-    out += f.name + (f.labels.empty() ? "" : "{" + f.labels + "}") + " " +
-           json::number(f.metric->value) + "\n";
+  // --- registered subsystems: counters, then histograms ----------------------
+  // Unlabeled families sum over every registered instance, so two
+  // controllers (or caches, or detectors) on one registry share one series.
+  LatencyHistogram batch_channel;
+  if (!controllers_.empty()) {
+    uint64_t queries = 0, scatters = 0, agent_batches = 0;
+    for (const Controller* c : controllers_) {
+      const Controller::CostSnapshot cost = c->cost();
+      queries += cost.queries;
+      scatters += cost.scatters;
+      agent_batches += cost.agent_batches;
+      batch_channel.merge(cost.batch_channel);
+    }
+    ex.counter(kControllerQueries, "path=\"batch\"", queries);
+    ex.counter(kControllerScatters, "", scatters);
+    ex.counter(kControllerAgentBatches, "", agent_batches);
   }
-  last_family.clear();
-  for (const Family<CounterMetric>& f : counters_) {
-    emit_header(out, last_family, f.name, f.help, "counter");
-    out += f.name + (f.labels.empty() ? "" : "{" + f.labels + "}") + " " +
-           std::to_string(f.metric->value) + "\n";
+  for (const RemoteAgent* r : transports_) {
+    const RemoteAgent::TransportStats ts = r->transport_stats();
+    const std::string agent = "agent=\"" + prom_escape(r->name()) + "\"";
+    ex.counter(kTransportConnects, agent, ts.connects);
+    ex.counter(kTransportReconnects, agent, ts.reconnects);
+    ex.counter(kTransportBatches, agent, ts.batches);
+    ex.counter(kTransportDamaged, agent, ts.damaged);
   }
-  last_family.clear();
-  for (const Family<LatencyHistogram>& f : histograms_) {
-    emit_header(out, last_family, f.name, f.help, "histogram");
-    emit_histogram(out, f.name, f.labels, *f.metric);
+  for (const RemoteAgentServer* s : servers_) {
+    ex.counter(kAcceptErrors,
+               "endpoint=\"" + prom_escape(s->endpoint().to_string()) + "\"",
+               s->accept_errors());
   }
+  if (!caches_.empty()) {
+    StreamCache::Stats sum;
+    for (const StreamCache* c : caches_) {
+      const StreamCache::Stats st = c->stats();
+      sum.frames_applied += st.frames_applied;
+      sum.gaps += st.gaps;
+      sum.repairs += st.repairs;
+      sum.bytes_applied += st.bytes_applied;
+    }
+    ex.counter(kStreamFrames, "", sum.frames_applied);
+    ex.counter(kStreamGaps, "", sum.gaps);
+    ex.counter(kStreamRepairs, "", sum.repairs);
+    ex.counter(kStreamBytes, "", sum.bytes_applied);
+  }
+  if (!controllers_.empty()) ex.histogram(kBatchChannel, "", batch_channel);
+  LatencyHistogram algo1, algo2;
+  for (const ContentionDetector* d : contention_) {
+    algo1.merge(d->diagnosis_latency());
+  }
+  for (const RootCauseAnalyzer* a : rootcause_) {
+    algo2.merge(a->diagnosis_latency());
+  }
+  if (algo1.count() > 0) ex.histogram(kContentionDiagnosis, "", algo1);
+  if (algo2.count() > 0) ex.histogram(kRootCauseDiagnosis, "", algo2);
 
   // --- flight-recorder health ------------------------------------------------
   const TraceRecorder& tr = TraceRecorder::global();
-  out += "# HELP perfsight_trace_events_total Events recorded by the flight "
-         "recorder\n";
-  out += "# TYPE perfsight_trace_events_total counter\n";
-  out += "perfsight_trace_events_total " + std::to_string(tr.total_events()) +
-         "\n";
-  out += "# HELP perfsight_trace_dropped_events_total Events overwritten in "
-         "full rings\n";
-  out += "# TYPE perfsight_trace_dropped_events_total counter\n";
-  out += "perfsight_trace_dropped_events_total " +
-         std::to_string(tr.dropped_events()) + "\n";
+  ex.counter(kTraceEvents, "", tr.total_events());
+  ex.counter(kTraceDropped, "", tr.dropped_events());
 
   // --- per-ring occupancy ----------------------------------------------------
   // Emitted only when rings exist, so a binary that never traced keeps the
   // exact exposition it had before rings were surfaced.
-  const std::vector<TraceRecorder::RingStats> rings = tr.ring_stats();
-  if (!rings.empty()) {
-    out += "# HELP perfsight_trace_ring_events Live events in the element's "
-           "trace ring\n";
-    out += "# TYPE perfsight_trace_ring_events gauge\n";
-    for (const TraceRecorder::RingStats& r : rings) {
-      out += "perfsight_trace_ring_events{element=\"" +
-             prom_escape(r.element) + "\"} " + std::to_string(r.size) + "\n";
-    }
-    out += "# HELP perfsight_trace_ring_capacity Ring capacity for the "
-           "element\n";
-    out += "# TYPE perfsight_trace_ring_capacity gauge\n";
-    for (const TraceRecorder::RingStats& r : rings) {
-      out += "perfsight_trace_ring_capacity{element=\"" +
-             prom_escape(r.element) + "\"} " + std::to_string(r.capacity) +
-             "\n";
-    }
-    out += "# HELP perfsight_trace_ring_dropped_events_total Events the "
-           "ring overwrote before they were exported\n";
-    out += "# TYPE perfsight_trace_ring_dropped_events_total counter\n";
-    for (const TraceRecorder::RingStats& r : rings) {
-      out += "perfsight_trace_ring_dropped_events_total{element=\"" +
-             prom_escape(r.element) + "\"} " +
-             std::to_string(r.dropped_events) + "\n";
-    }
+  for (const TraceRecorder::RingStats& r : tr.ring_stats()) {
+    const std::string element = "element=\"" + prom_escape(r.element) + "\"";
+    ex.sample(kRingEvents, element, std::to_string(r.size));
+    ex.sample(kRingCapacity, element, std::to_string(r.capacity));
+    ex.counter(kRingDropped, element, r.dropped_events);
   }
-  return out;
+  return ex.render();
 }
 
 }  // namespace perfsight

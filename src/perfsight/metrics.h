@@ -3,22 +3,25 @@
 //
 // A MetricsRegistry pulls every registered agent's elements through the
 // normal query path and renders the counters as Prometheus text-format
-// gauges, alongside *self-profiling* instruments that answer "what does
+// gauges, alongside *self-profiling* series that answer "what does
 // diagnosis itself cost":
 //
 //   * per-agent, per-channel-kind latency histograms (every Agent::query
 //     observes its modelled channel delay — the Fig. 9 distribution, live);
+//   * controller scatter-gather, transport and stream-cache counters;
 //   * end-to-end Algorithm 1/2 diagnosis-latency histograms (the detectors
 //     observe measurement window + channel time per run);
 //   * flight-recorder health (events recorded / overwritten).
 //
-// The exposition is plain text over scrape(): embed it behind any HTTP
+// Exposition is pull-only: each subsystem keeps its own tallies behind its
+// own lock, and expose() reads them through the subsystem's accessor at
+// scrape time.  Nothing is pushed into the registry, so a value exposed is
+// always the value the accessor returns.
+//
+// The exposition is plain text over expose(): embed it behind any HTTP
 // handler or dump it to a file — no dependency on a metrics client library.
 #pragma once
 
-#include <array>
-#include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,73 +31,21 @@ namespace perfsight {
 
 class Agent;
 class AgentClient;
+class ContentionDetector;
+class Controller;
 class FaultPlan;
+class RemoteAgent;
+class RemoteAgentServer;
+class RootCauseAnalyzer;
+class StreamCache;
 class ThreadPool;
 
-// Histogram of latencies in seconds over fixed exponential buckets
-// (1 us .. 4 s, x4 steps, plus +Inf).  Cheap enough to leave always on:
-// one observe is a comparison walk over 12 bounds and two adds.
-class LatencyHistogram {
- public:
-  static constexpr std::array<double, 12> kBoundsSec = {
-      1e-6, 4e-6, 16e-6, 64e-6, 256e-6, 1e-3,
-      4e-3, 16e-3, 64e-3, 256e-3, 1.0,  4.0};
-  static constexpr size_t kBuckets = kBoundsSec.size() + 1;
-
-  void observe(double seconds) {
-    ++counts_[bucket_for(seconds)];
-    ++count_;
-    sum_ += seconds;
-  }
-
-  static size_t bucket_for(double seconds) {
-    for (size_t i = 0; i < kBoundsSec.size(); ++i) {
-      if (seconds <= kBoundsSec[i]) return i;
-    }
-    return kBoundsSec.size();
-  }
-
-  uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  uint64_t bucket_count(size_t i) const { return counts_[i]; }
-
-  // Approximate quantile by bucket upper bound; 0 when empty.
-  double approx_quantile(double q) const;
-
- private:
-  std::array<uint64_t, kBuckets> counts_ = {};
-  uint64_t count_ = 0;
-  double sum_ = 0;
-};
-
-// Prometheus-style metrics registry: named self-profiling instruments plus
-// element scraping via agents.
+// Prometheus-style metrics registry: element scraping via agents plus the
+// self-profiling series of every registered subsystem.  Nothing registered
+// is owned; each must outlive the registry's last expose().
 class MetricsRegistry {
  public:
-  struct Gauge {
-    double value = 0;
-    void set(double v) { value = v; }
-    void add(double v) { value += v; }
-  };
-  struct CounterMetric {
-    uint64_t value = 0;
-    void add(uint64_t n) { value += n; }
-    void increment() { ++value; }
-  };
-
-  // Instruments are created on first use and keep stable addresses for the
-  // registry's lifetime.  `labels` is raw Prometheus label syntax without
-  // braces (e.g. "algorithm=\"contention\"") — metrics differing only in
-  // labels are distinct series of one family.
-  Gauge& gauge(const std::string& name, const std::string& help,
-               const std::string& labels = {});
-  CounterMetric& counter(const std::string& name, const std::string& help,
-                         const std::string& labels = {});
-  LatencyHistogram& histogram(const std::string& name,
-                              const std::string& help,
-                              const std::string& labels = {});
-
-  // Agents scraped on every expose(); not owned.
+  // Agents scraped on every expose().
   void add_agent(Agent* agent) { agents_.push_back(agent); }
   size_t num_agents() const { return agents_.size(); }
 
@@ -106,6 +57,23 @@ class MetricsRegistry {
     agent_clients_.push_back(client);
   }
   size_t num_agent_clients() const { return agent_clients_.size(); }
+
+  // --- self-profiling subsystems, read at scrape time ----------------------
+  // perfsight_controller_*: Controller::cost(), summed over controllers.
+  void add_controller(const Controller* c) { controllers_.push_back(c); }
+  // perfsight_transport_{connects,reconnects,batches,damaged_batches}_total
+  // labeled by agent: RemoteAgent::transport_stats().
+  void add_transport(const RemoteAgent* r) { transports_.push_back(r); }
+  // perfsight_transport_accept_errors_total labeled by endpoint:
+  // RemoteAgentServer::accept_errors().
+  void add_server(const RemoteAgentServer* s) { servers_.push_back(s); }
+  // perfsight_stream_*: StreamCache::stats(), summed over caches.
+  void add_stream_cache(const StreamCache* c) { caches_.push_back(c); }
+  // perfsight_{contention,rootcause}_diagnosis_seconds: each detector's
+  // diagnosis_latency(), summed per algorithm into one series.  A family
+  // appears once its algorithm has run.
+  void add_detector(const ContentionDetector* d) { contention_.push_back(d); }
+  void add_detector(const RootCauseAnalyzer* a) { rootcause_.push_back(a); }
 
   // Collection pool used by expose() to scrape agents concurrently (one
   // task per agent; each agent's RNG is its own, so output is byte-identical
@@ -124,32 +92,24 @@ class MetricsRegistry {
   // (in-process and client-wrapped) as perfsight_element_stat gauges (the
   // scrape itself travels the modelled channels, feeding the agents'
   // latency histograms), each agent's per-channel latency histograms, the
-  // registered instruments, and the global flight-recorder health counters
-  // — including, when any trace rings exist, per-ring occupancy/capacity/
-  // overwrite gauges so a ring quietly discarding events shows up on a
-  // dashboard instead of only in a shorter trace.
+  // registered subsystems' series, and the global flight-recorder health
+  // counters — including, when any trace rings exist, per-ring occupancy/
+  // capacity/overwrite gauges so a ring quietly discarding events shows up
+  // on a dashboard instead of only in a shorter trace.  Every family gets
+  // one HELP/TYPE pair followed by all of its samples.
   std::string expose(SimTime now) const;
 
  private:
-  template <typename T>
-  struct Family {
-    std::string name;
-    std::string help;
-    std::string labels;
-    std::unique_ptr<T> metric;
-  };
-
-  template <typename T>
-  T& find_or_add(std::vector<Family<T>>& families, const std::string& name,
-                 const std::string& help, const std::string& labels);
-
   std::vector<Agent*> agents_;
   std::vector<AgentClient*> agent_clients_;
+  std::vector<const Controller*> controllers_;
+  std::vector<const RemoteAgent*> transports_;
+  std::vector<const RemoteAgentServer*> servers_;
+  std::vector<const StreamCache*> caches_;
+  std::vector<const ContentionDetector*> contention_;
+  std::vector<const RootCauseAnalyzer*> rootcause_;
   ThreadPool* pool_ = nullptr;
   const FaultPlan* fault_plan_ = nullptr;
-  std::vector<Family<Gauge>> gauges_;
-  std::vector<Family<CounterMetric>> counters_;
-  std::vector<Family<LatencyHistogram>> histograms_;
 };
 
 // Escapes a Prometheus label value (backslash, quote, newline).

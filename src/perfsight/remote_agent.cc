@@ -52,19 +52,6 @@ RemoteAgentServer::RemoteAgentServer(std::vector<Agent*> agents,
   trace_recorder_.set_enabled(true);
 }
 
-void RemoteAgentServer::set_metrics(MetricsRegistry* m) {
-  PS_CHECK(!running_);  // the serve thread reads the pointer unlocked
-  if (m == nullptr) {
-    m_accept_errors_ = nullptr;
-    return;
-  }
-  m_accept_errors_ = &m->counter(
-      "perfsight_transport_accept_errors_total",
-      "Listener accept failures that were real errors (EMFILE, ...), each "
-      "backing the accept path off instead of hot-spinning",
-      "endpoint=\"" + prom_escape(ep_.to_string()) + "\"");
-}
-
 Status RemoteAgentServer::start() {
   PS_CHECK(!thread_.joinable());
   Result<transport::Listener> l = transport::Listener::listen(ep_);
@@ -326,7 +313,6 @@ void RemoteAgentServer::serve() {
           // listener out of the poll set for a bounded backoff so the loop
           // keeps serving live connections instead of hot-spinning.
           accept_errors_.fetch_add(1, std::memory_order_relaxed);
-          if (m_accept_errors_ != nullptr) m_accept_errors_->increment();
           accept_backoff_ms =
               accept_backoff_ms == 0
                   ? kAcceptBackoffMinMs
@@ -546,24 +532,6 @@ void RemoteAgent::set_deadline(transport::WallDuration d) {
   deadline_ = d;
 }
 
-void RemoteAgent::set_metrics(MetricsRegistry* m) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (m == nullptr) {
-    m_connects_ = m_reconnects_ = m_batches_ = m_damaged_ = nullptr;
-    return;
-  }
-  const std::string label = "agent=\"" + prom_escape(name_) + "\"";
-  m_connects_ = &m->counter("perfsight_transport_connects_total",
-                            "Successful dial+hello handshakes", label);
-  m_reconnects_ = &m->counter("perfsight_transport_reconnects_total",
-                              "Connections re-established after loss", label);
-  m_batches_ = &m->counter("perfsight_transport_batches_total",
-                           "Batch round trips attempted over the socket",
-                           label);
-  m_damaged_ = &m->counter("perfsight_transport_damaged_batches_total",
-                           "Batches that arrived short or corrupt", label);
-}
-
 BreakerState RemoteAgent::breaker_state() const {
   std::lock_guard<std::mutex> lock(mu_);
   return breaker_state_;
@@ -766,8 +734,6 @@ Status RemoteAgent::connect_locked(SimTime now) {
   // individually fast-failed above until a later hello re-adds them.
   consecutive_failures_ = 0;
   breaker_state_ = BreakerState::kClosed;
-  if (m_connects_ != nullptr) m_connects_->increment();
-  if (!first && m_reconnects_ != nullptr) m_reconnects_->increment();
   trace_event(transport_trace_id(), now,
               first ? TraceEventKind::kTransportConnect
                     : TraceEventKind::kTransportReconnect,
@@ -852,7 +818,6 @@ BatchResponse RemoteAgent::query_batch(const std::vector<ElementId>& ids,
                                        SimTime now, ThreadPool* /*pool*/) {
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.batches;
-  if (m_batches_ != nullptr) m_batches_->increment();
 
   // Sort + dedupe like the in-process agent, and split known/unknown from
   // the hello cache — on a total transport loss, ids the agent never served
@@ -931,7 +896,6 @@ BatchResponse RemoteAgent::query_batch(const std::vector<ElementId>& ids,
     // Header never made it whole (or is garbage): nothing usable arrived.
     drop_connection_locked();
     ++stats_.damaged;
-    if (m_damaged_ != nullptr) m_damaged_->increment();
     return finish_batch_locked(total_loss_locked(known, unknown), departed_hit,
                                now);
   }
@@ -959,7 +923,6 @@ BatchResponse RemoteAgent::query_batch(const std::vector<ElementId>& ids,
   // since the hello).
   drop_connection_locked();
   ++stats_.damaged;
-  if (m_damaged_ != nullptr) m_damaged_->increment();
 
   std::vector<ElementId> expected = known;
   for (const QueryResponse& r : decoded.value().responses) {

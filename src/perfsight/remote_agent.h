@@ -74,7 +74,6 @@
 #include "common/ids.h"
 #include "common/status.h"
 #include "perfsight/agent.h"
-#include "perfsight/metrics.h"
 #include "perfsight/trace.h"
 #include "perfsight/transport.h"
 
@@ -129,10 +128,6 @@ class RemoteAgentServer {
   // longer than this, or failing to drain its reply queue for longer than
   // this (backpressure), is closed.  Call before start().
   void set_io_deadline(transport::WallDuration d) { io_deadline_ = d; }
-
-  // Creates perfsight_transport_accept_errors_total (labeled by endpoint)
-  // in `m`.  Call before start(); the serve thread reads the pointer.
-  void set_metrics(MetricsRegistry* m);
 
   // Shifts this server's view of the span clock (tests: prove the client's
   // hello-derived offset estimate really corrects skewed remote lanes).
@@ -221,7 +216,6 @@ class RemoteAgentServer {
   std::atomic<uint64_t> batches_served_{0};
   std::atomic<uint64_t> accept_errors_{0};
   std::atomic<size_t> live_connections_{0};
-  MetricsRegistry::CounterMetric* m_accept_errors_ = nullptr;
   // The server-side flight recorder: serve spans for traced requests land
   // here and leave via harvest / piggyback.  Always enabled; it only fills
   // when clients send traced requests.
@@ -282,8 +276,6 @@ class RemoteAgent : public AgentClient {
   void set_breaker_config(CircuitBreakerConfig c);
   // Per-read/connect wall-clock deadline.
   void set_deadline(transport::WallDuration d);
-  // Creates the perfsight_transport_* counters (labeled by agent) in `m`.
-  void set_metrics(MetricsRegistry* m);
 
   // Pulls the server's drained trace rings into the *global* TraceRecorder
   // as a remote lane (clock-offset attached).  The piggyback fast path makes
@@ -372,10 +364,6 @@ class RemoteAgent : public AgentClient {
   uint32_t consecutive_failures_ = 0;
   transport::Clock::time_point breaker_opened_at_{};
   TransportStats stats_;
-  MetricsRegistry::CounterMetric* m_connects_ = nullptr;
-  MetricsRegistry::CounterMetric* m_reconnects_ = nullptr;
-  MetricsRegistry::CounterMetric* m_batches_ = nullptr;
-  MetricsRegistry::CounterMetric* m_damaged_ = nullptr;
 };
 
 }  // namespace perfsight

@@ -229,12 +229,9 @@ RootCauseReport RootCauseAnalyzer::analyze(TenantId tenant,
 
   const SimTime t1 = controller_->now();
   const Duration cost = (t1 - t0) + (controller_->channel_time() - ch0);
-  if (metrics_ != nullptr) {
-    metrics_
-        ->histogram("perfsight_rootcause_diagnosis_seconds",
-                    "End-to-end Algorithm 2 cost: measurement window plus "
-                    "modelled channel time")
-        .observe(cost.sec());
+  {
+    std::lock_guard<std::mutex> lock(latency_mu_);
+    latency_.observe(cost.sec());
   }
   trace_event(kAlgo2Id, t1, TraceEventKind::kDiagnosisCompleted, cost.ms(),
               report.root_causes.empty() ? "no root cause"

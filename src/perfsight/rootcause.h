@@ -17,11 +17,12 @@
 // itself and its predecessors.  What remains are the plausible root causes.
 #pragma once
 
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "perfsight/controller.h"
-#include "perfsight/metrics.h"
+#include "perfsight/histogram.h"
 
 namespace perfsight {
 
@@ -66,15 +67,19 @@ class RootCauseAnalyzer {
   explicit RootCauseAnalyzer(const Controller* controller)
       : controller_(controller) {}
 
-  // Self-profiling sink: each analyze() observes its end-to-end cost into
-  // perfsight_rootcause_diagnosis_seconds.  Optional; not owned.
-  void set_metrics(MetricsRegistry* m) { metrics_ = m; }
-
   RootCauseReport analyze(TenantId tenant, Duration window) const;
+
+  // Self-profiling: the end-to-end cost of every analyze() so far.  A
+  // snapshot taken under the analyzer's lock.
+  LatencyHistogram diagnosis_latency() const {
+    std::lock_guard<std::mutex> lock(latency_mu_);
+    return latency_;
+  }
 
  private:
   const Controller* controller_;
-  MetricsRegistry* metrics_ = nullptr;
+  mutable std::mutex latency_mu_;
+  mutable LatencyHistogram latency_;
 };
 
 std::string to_text(const RootCauseReport& report);

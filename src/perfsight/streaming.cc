@@ -96,7 +96,6 @@ Result<StreamCache::ApplyResult> StreamCache::apply(std::string_view body) {
   const bool fresh = !s.has_prev;
   if (!fresh && r.seq > s.expected) {
     ++stats_.gaps;
-    if (m_gaps_ != nullptr) m_gaps_->increment();
     r.missed = r.seq - s.expected;
     return r;  // applied == false: caller repairs, then re-applies
   }
@@ -137,8 +136,6 @@ Result<StreamCache::ApplyResult> StreamCache::apply(std::string_view body) {
 
   ++stats_.frames_applied;
   stats_.bytes_applied += body.size();
-  if (m_frames_ != nullptr) m_frames_->increment();
-  if (m_bytes_ != nullptr) m_bytes_->add(body.size());
   r.applied = true;
   return r;
 }
@@ -173,7 +170,6 @@ void StreamCache::repair(const std::string& agent, SimTime window_start,
   ++s.expected;
 
   ++stats_.repairs;
-  if (m_repairs_ != nullptr) m_repairs_->increment();
 }
 
 void StreamCache::ingest(const std::string& agent, SimTime window_start,
@@ -252,18 +248,6 @@ void StreamCache::set_retention(size_t windows) {
 StreamCache::Stats StreamCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-void StreamCache::set_metrics(MetricsRegistry* m) {
-  std::lock_guard<std::mutex> lock(mu_);
-  m_frames_ = &m->counter("perfsight_stream_frames_applied_total",
-                          "Stream frames absorbed into the window cache");
-  m_gaps_ = &m->counter("perfsight_stream_gaps_total",
-                        "Stream frames refused for a sequence gap");
-  m_repairs_ = &m->counter("perfsight_stream_repairs_total",
-                           "Windows backfilled by targeted repair pulls");
-  m_bytes_ = &m->counter("perfsight_stream_bytes_applied_total",
-                         "Encoded stream bytes accepted into the cache");
 }
 
 // --- StreamCacheAgent --------------------------------------------------------

@@ -52,7 +52,6 @@
 #include "common/units.h"
 #include "perfsight/agent.h"
 #include "perfsight/faults.h"
-#include "perfsight/metrics.h"
 #include "perfsight/transport.h"
 #include "perfsight/wire.h"
 
@@ -188,10 +187,6 @@ class StreamCache {
   };
   Stats stats() const;
 
-  // Creates the perfsight_stream_* counters in `m` (not owned; call before
-  // concurrent use).
-  void set_metrics(MetricsRegistry* m);
-
  private:
   struct Window {
     Provenance provenance = Provenance::kStreamed;
@@ -215,10 +210,6 @@ class StreamCache {
   std::unordered_map<std::string, Stream> streams_;
   size_t retention_ = 0;
   Stats stats_;
-  MetricsRegistry::CounterMetric* m_frames_ = nullptr;
-  MetricsRegistry::CounterMetric* m_gaps_ = nullptr;
-  MetricsRegistry::CounterMetric* m_repairs_ = nullptr;
-  MetricsRegistry::CounterMetric* m_bytes_ = nullptr;
 };
 
 // Serves a StreamCache through the AgentClient seam: the controller (and

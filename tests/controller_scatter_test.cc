@@ -18,11 +18,13 @@
 #include "perfsight/alert.h"
 #include "perfsight/contention.h"
 #include "perfsight/controller.h"
+#include "perfsight/metrics.h"
 #include "perfsight/faults.h"
 #include "perfsight/monitor.h"
 #include "perfsight/rootcause.h"
 #include "perfsight/trace.h"
 #include "support/oracles.h"
+#include "support/prom_check.h"
 
 namespace perfsight {
 namespace {
@@ -360,7 +362,7 @@ TEST(ScatterObservabilityTest, ScatterEmitsTraceEventsAndMetrics) {
   ScopedTraceRecorder scoped;
   ScatterRig rig(2, 3);
   MetricsRegistry reg;
-  rig.controller_.set_metrics(&reg);
+  reg.add_controller(&rig.controller_);
   ThreadPool pool(2);
   rig.controller_.set_pool(&pool);
 
@@ -389,13 +391,23 @@ TEST(ScatterObservabilityTest, ScatterEmitsTraceEventsAndMetrics) {
                "controller_gather");
 
   std::string exposed = reg.expose(rig.now_);
-  EXPECT_NE(exposed.find("perfsight_controller_batch_scatters_total"),
+  EXPECT_TRUE(prom_check::well_formed(exposed));
+  const Controller::CostSnapshot cost = rig.controller_.cost();
+  EXPECT_EQ(cost.queries, rig.controller_.queries_issued());
+  EXPECT_EQ(cost.scatters, 1u);
+  EXPECT_EQ(cost.batch_channel.count(), 1u);
+  EXPECT_NE(exposed.find("perfsight_controller_queries_total{path=\"batch\"} " +
+                         std::to_string(rig.controller_.queries_issued()) +
+                         "\n"),
+            std::string::npos)
+      << exposed;
+  EXPECT_NE(exposed.find("perfsight_controller_batch_scatters_total 1\n"),
             std::string::npos);
-  EXPECT_NE(exposed.find("perfsight_controller_batch_agents_total"),
+  EXPECT_NE(exposed.find("perfsight_controller_batch_agents_total " +
+                         std::to_string(cost.agent_batches) + "\n"),
             std::string::npos);
-  EXPECT_NE(exposed.find("perfsight_controller_batch_channel_seconds"),
+  EXPECT_NE(exposed.find("perfsight_controller_batch_channel_seconds_count 1\n"),
             std::string::npos);
-  EXPECT_NE(exposed.find("path=\"batch\""), std::string::npos);
 }
 
 TEST(ScatterCostTest, BatchingAmortizesChannelTimeWithoutChangingResults) {
@@ -467,7 +479,7 @@ TEST(ScatterChurnTest, ConcurrentScatterPollAndAlertEvaluation) {
   ThreadPool pool(4);
   controller.set_pool(&pool);
   MetricsRegistry reg;
-  controller.set_metrics(&reg);
+  reg.add_controller(&controller);
 
   Monitor mon(&controller, tenant);
   mon.watch(ids.front(), attr::kDropPkts);
@@ -492,6 +504,7 @@ TEST(ScatterChurnTest, ConcurrentScatterPollAndAlertEvaluation) {
     while (!stop.load(std::memory_order_relaxed)) {
       (void)controller.get_attr_q(tenant, ids.back(), {attr::kDropPkts});
       (void)controller.cost();
+      (void)reg.expose(SimTime::nanos(clock_ns.load()));
     }
   });
   threads.emplace_back([&] {

@@ -12,8 +12,10 @@
 #include "perfsight/contention.h"
 #include "perfsight/controller.h"
 #include "perfsight/hotpath.h"
+#include "perfsight/metrics.h"
 #include "perfsight/monitor.h"
 #include "perfsight/trace.h"
+#include "support/prom_check.h"
 
 namespace perfsight {
 namespace {
@@ -297,6 +299,7 @@ TEST(ParallelMetricsTest, ParallelExposeIsByteIdenticalToSequential) {
   std::string a = seq_reg.expose(SimTime::seconds(1));
   std::string b = par_reg.expose(SimTime::seconds(1));
   EXPECT_EQ(a, b);
+  EXPECT_TRUE(prom_check::well_formed(a));
   EXPECT_NE(a.find("perfsight_element_stat"), std::string::npos);
 }
 

@@ -30,12 +30,14 @@
 #include "perfsight/alert.h"
 #include "perfsight/contention.h"
 #include "perfsight/controller.h"
+#include "perfsight/metrics.h"
 #include "perfsight/monitor.h"
 #include "perfsight/remote_agent.h"
 #include "perfsight/rootcause.h"
 #include "perfsight/trace.h"
 #include "perfsight/wire.h"
 #include "support/oracles.h"
+#include "support/prom_check.h"
 #include "sim/simulator.h"
 
 namespace perfsight {
@@ -681,7 +683,7 @@ TEST(TransportBreakerTest, BreakerFastFailsThenHalfOpenProbeRecovers) {
 TEST(TransportObservabilityTest, CountersCoverTheTransportLifecycle) {
   TransportRig rig(1, 2, TransportRig::Mode::kTcp);
   MetricsRegistry reg;
-  rig.remote(0)->set_metrics(&reg);
+  reg.add_transport(rig.remote(0));
 
   (void)rig.controller_.get_attr_many(rig.tenant_, rig.elements_,
                                       {attr::kRxPkts});
@@ -693,15 +695,19 @@ TEST(TransportObservabilityTest, CountersCoverTheTransportLifecycle) {
                                       {attr::kRxPkts});  // reconnects
 
   std::string exposed = reg.expose(rig.now_);
-  EXPECT_NE(exposed.find("perfsight_transport_connects_total"),
-            std::string::npos);
-  EXPECT_NE(exposed.find("perfsight_transport_reconnects_total"),
-            std::string::npos);
-  EXPECT_NE(exposed.find("perfsight_transport_batches_total"),
-            std::string::npos);
-  EXPECT_NE(exposed.find("perfsight_transport_damaged_batches_total"),
-            std::string::npos);
-  EXPECT_NE(exposed.find("agent=\"agent-0\""), std::string::npos);
+  EXPECT_TRUE(prom_check::well_formed(exposed));
+  const RemoteAgent::TransportStats ts = rig.remote(0)->transport_stats();
+  EXPECT_GE(ts.reconnects, 1u);
+  EXPECT_GE(ts.damaged, 1u);
+  auto has = [&](const char* family, uint64_t v) {
+    return exposed.find(std::string(family) + "{agent=\"agent-0\"} " +
+                        std::to_string(v) + "\n") != std::string::npos;
+  };
+  EXPECT_TRUE(has("perfsight_transport_connects_total", ts.connects))
+      << exposed;
+  EXPECT_TRUE(has("perfsight_transport_reconnects_total", ts.reconnects));
+  EXPECT_TRUE(has("perfsight_transport_batches_total", ts.batches));
+  EXPECT_TRUE(has("perfsight_transport_damaged_batches_total", ts.damaged));
 }
 
 TEST(DeploymentRemoteTest, AddRemoteAgentWiresIntoTheControlPlane) {
@@ -725,6 +731,65 @@ TEST(DeploymentRemoteTest, AddRemoteAgentWiresIntoTheControlPlane) {
   ASSERT_TRUE(got.ok()) << got.status().message();
   ASSERT_EQ(got.value().record.attrs.size(), 1u);
   EXPECT_EQ(got.value().record.attrs[0].value, 1234.0);
+}
+
+// Deployment registers each remote agent's transport at add time, so the
+// handshake add_remote_agent just made is on the very first scrape.
+TEST(DeploymentRemoteTest, ConnectIsExposedRightAfterAdd) {
+  Agent agent("agent-r", 7);
+  ScriptedSource src("r/el0", ChannelKind::kProcFs);
+  ASSERT_TRUE(agent.add_element(&src).is_ok());
+  RemoteAgentServer server(&agent, transport::Endpoint::tcp("127.0.0.1", 0));
+  ASSERT_TRUE(server.start().is_ok());
+
+  sim::Simulator sim(Duration::millis(1));
+  cluster::Deployment dep(&sim);
+  Result<RemoteAgent*> r = dep.add_remote_agent(server.endpoint().to_string());
+  ASSERT_TRUE(r.ok()) << r.status().message();
+  EXPECT_EQ(r.value()->transport_stats().connects, 1u);
+  const std::string text = dep.metrics()->expose(sim.now());
+  EXPECT_TRUE(prom_check::well_formed(text));
+  EXPECT_NE(
+      text.find("perfsight_transport_connects_total{agent=\"agent-r\"} 1\n"),
+      std::string::npos)
+      << text;
+}
+
+// A two-agent fleet dialed through add_remote_agents shares one registry:
+// each perfsight_transport_* family keeps one HELP/TYPE pair with both
+// agents' samples under it.
+TEST(DeploymentRemoteTest, FleetExpositionKeepsEachFamilyWhole) {
+  Agent fa("fleet-a", 1);
+  Agent fb("fleet-b", 2);
+  ScriptedSource sa("fa/el0", ChannelKind::kProcFs);
+  ScriptedSource sb("fb/el0", ChannelKind::kMbSocket);
+  for (ScriptedSource* s : {&sa, &sb}) s->set_attrs({{attr::kRxPkts, 9.0}});
+  ASSERT_TRUE(fa.add_element(&sa).is_ok());
+  ASSERT_TRUE(fb.add_element(&sb).is_ok());
+  RemoteAgentServer server(std::vector<Agent*>{&fa, &fb},
+                           transport::Endpoint::tcp("127.0.0.1", 0));
+  ASSERT_TRUE(server.start().is_ok());
+
+  sim::Simulator sim(Duration::millis(1));
+  cluster::Deployment dep(&sim);
+  Result<std::vector<RemoteAgent*>> bound =
+      dep.add_remote_agents(server.endpoint().to_string());
+  ASSERT_TRUE(bound.ok()) << bound.status().message();
+  ASSERT_EQ(bound.value().size(), 2u);
+  const TenantId tenant{1};
+  ASSERT_TRUE(dep.assign_remote(tenant, sa.id(), bound.value()[0]).is_ok());
+  ASSERT_TRUE(dep.assign_remote(tenant, sb.id(), bound.value()[1]).is_ok());
+  (void)dep.controller()->get_attr_many(tenant, {sa.id(), sb.id()},
+                                        {attr::kRxPkts});
+
+  const std::string text = dep.metrics()->expose(sim.now());
+  EXPECT_TRUE(prom_check::well_formed(text)) << text;
+  for (const char* agent : {"fleet-a", "fleet-b"}) {
+    EXPECT_NE(text.find("perfsight_transport_batches_total{agent=\"" +
+                        std::string(agent) + "\"} 1\n"),
+              std::string::npos)
+        << text;
+  }
 }
 
 // Remote agents must feed the same element-stat exposition as in-process
@@ -752,8 +817,12 @@ TEST(TransportObservabilityTest, RemoteAgentMetricsMatchInProcessExposition) {
     std::sort(lines.begin(), lines.end());
     return lines;
   };
-  const std::vector<std::string> want = stat_lines(lreg.expose(local.now_));
-  const std::vector<std::string> got = stat_lines(rreg.expose(remote.now_));
+  const std::string lexp = lreg.expose(local.now_);
+  const std::string rexp = rreg.expose(remote.now_);
+  EXPECT_TRUE(prom_check::well_formed(lexp));
+  EXPECT_TRUE(prom_check::well_formed(rexp));
+  const std::vector<std::string> want = stat_lines(lexp);
+  const std::vector<std::string> got = stat_lines(rexp);
   ASSERT_FALSE(want.empty());
   EXPECT_EQ(got, want);
 }
@@ -1058,7 +1127,7 @@ TEST(TransportAcceptBackoffTest, AcceptErrorCountsBacksOffAndRecovers) {
 
   RemoteAgentServer server(&agent, transport::Endpoint::tcp("127.0.0.1", 0));
   MetricsRegistry metrics;
-  server.set_metrics(&metrics);
+  metrics.add_server(&server);
   ASSERT_TRUE(server.start().is_ok());
 
   RemoteAgent first(server.endpoint());
@@ -1104,8 +1173,12 @@ TEST(TransportAcceptBackoffTest, AcceptErrorCountsBacksOffAndRecovers) {
   const uint64_t errors = server.accept_errors();
   EXPECT_GE(errors, 1u);
   const std::string text = metrics.expose(SimTime());
-  EXPECT_NE(text.find("perfsight_transport_accept_errors_total"),
-            std::string::npos);
+  EXPECT_TRUE(prom_check::well_formed(text));
+  EXPECT_NE(text.find("perfsight_transport_accept_errors_total{endpoint=\"" +
+                      prom_escape(server.endpoint().to_string()) + "\"} " +
+                      std::to_string(errors) + "\n"),
+            std::string::npos)
+      << text;
   EXPECT_NE(text.find("# TYPE perfsight_transport_accept_errors_total counter"),
             std::string::npos);
 }
