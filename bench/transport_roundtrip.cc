@@ -8,10 +8,18 @@
 // single-element round trips by a wide margin (the length-chained framing
 // amortises the per-trip syscall + poll cost exactly like the controller's
 // batching amortises modelled channel time).
+//
+// A last pair of figures measures the push path on a unix socket: how long a
+// request_publish() takes to reach a subscriber as a kStreamData frame, and
+// how long stop() takes on an idle server.  Both are bounded by how the
+// serve loop is woken, not by the work, so both must stay far below a poll
+// period.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -20,6 +28,7 @@
 #include "perfsight/remote_agent.h"
 #include "perfsight/stats.h"
 #include "perfsight/stats_source.h"
+#include "perfsight/streaming.h"
 #include "perfsight/transport.h"
 #include "perfsight/wire.h"
 
@@ -30,6 +39,7 @@ namespace {
 
 constexpr size_t kElements = 64;
 constexpr int kSweeps = 400;
+constexpr int kPublishTrips = 50;
 
 class ConstSource : public StatsSource {
  public:
@@ -73,6 +83,18 @@ double sweep_seconds(RemoteAgent& remote, const std::vector<ElementId>& ids) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
+}
+
+double elapsed_us(std::chrono::steady_clock::time_point since) {
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - since)
+      .count();
+}
+
+// Sorted-sample quantile by nearest rank.
+double quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  return v[static_cast<size_t>(q * static_cast<double>(v.size() - 1) + 0.5)];
 }
 
 }  // namespace
@@ -138,15 +160,49 @@ int main() {
   note("tcp amortisation: 64x1 would cost %.2fx one 64-wide batch",
        amortisation);
 
+  // Push path: kPublishTrips sequential request_publish -> frame trips to
+  // one subscriber, then stop() on a server with nothing to do.
+  std::vector<double> publish_us;
+  double idle_stop_us = 0;
+  {
+    RemoteAgentServer server(
+        &agent, transport::Endpoint::unix_path(unix_path + ".push"));
+    PS_CHECK(server.start().is_ok());
+    StreamSubscriber sub(server.endpoint());
+    PS_CHECK(sub.connect(transport::WallDuration(2000)).is_ok());
+    for (int k = 1; k <= kPublishTrips; ++k) {
+      const auto t0 = std::chrono::steady_clock::now();
+      server.request_publish(SimTime::millis(100 * k));
+      PS_CHECK(sub.next_body(transport::WallDuration(5000)).ok());
+      publish_us.push_back(elapsed_us(t0));
+    }
+    sub.close();
+    // Let the loop see the close and go back to sleep before timing stop().
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const auto t0 = std::chrono::steady_clock::now();
+    server.stop();
+    idle_stop_us = elapsed_us(t0);
+  }
+  const double publish_p50 = quantile(publish_us, 0.50);
+  const double publish_p99 = quantile(publish_us, 0.99);
+  note("unix push: publish-to-frame p50 %.0f us, p99 %.0f us over %d trips",
+       publish_p50, publish_p99, kPublishTrips);
+  note("unix push: idle stop() %.0f us", idle_stop_us);
+
   // The oracle's wire rendering is a pure function of the fixed fleet, so
   // its size gates; round-trip timings are loopback wall clock, info only.
   report.gate("oracle_record_bytes", static_cast<double>(oracle.size()));
   report.info("tcp_amortisation_64", amortisation);
   report.info("tcp_batch64_sweep_us", tcp_batch64_s * 1e6 / kSweeps);
+  report.info("unix_publish_to_frame_us_p50", publish_p50);
+  report.info("unix_publish_to_frame_us_p99", publish_p99);
+  report.info("idle_stop_us", idle_stop_us);
 
   shape_check(identical,
               "records off the socket byte-identical to in-process agent");
   shape_check(amortisation >= 3.0,
               "64-wide batch >= 3x cheaper than 64 single-element trips");
+  shape_check(publish_p50 < 20e3, "publish-to-frame p50 < 20 ms");
+  shape_check(idle_stop_us < 20e3, "idle stop() < 20 ms");
   return 0;
 }

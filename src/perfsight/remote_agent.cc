@@ -1,9 +1,12 @@
 #include "perfsight/remote_agent.h"
 
+#include <fcntl.h>
 #include <poll.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -22,10 +25,6 @@ const ElementId& transport_trace_id() {
   return kId;
 }
 
-// The event loop's poll() timeout: how promptly stop(), accept backoff
-// expiry and per-connection I/O deadlines are noticed.
-constexpr int kServePollMs = 200;
-
 // Accept-error backoff bounds: a persistent accept failure (EMFILE, ...)
 // must not hot-spin the serve thread, but recovery after the condition
 // clears should be prompt.
@@ -35,6 +34,9 @@ constexpr int kAcceptBackoffMaxMs = 1000;
 // Compact a partially-drained write queue once the sent prefix crosses
 // this, so a long-lived pipelining connection cannot grow it unboundedly.
 constexpr size_t kWriteCompactBytes = 64 * 1024;
+
+// A connection's read_since/write_since value while nothing is pending.
+constexpr transport::Clock::time_point kUnarmed{};
 
 std::chrono::nanoseconds to_wall(Duration d) {
   return std::chrono::nanoseconds(d.ns());
@@ -50,6 +52,13 @@ RemoteAgentServer::RemoteAgentServer(std::vector<Agent*> agents,
   PS_CHECK(!agents_.empty());
   for (Agent* a : agents_) PS_CHECK(a != nullptr);
   trace_recorder_.set_enabled(true);
+  PS_CHECK(::pipe2(wake_fds_, O_NONBLOCK | O_CLOEXEC) == 0);
+}
+
+RemoteAgentServer::~RemoteAgentServer() {
+  stop();
+  ::close(wake_fds_[0]);
+  ::close(wake_fds_[1]);
 }
 
 Status RemoteAgentServer::start() {
@@ -64,8 +73,14 @@ Status RemoteAgentServer::start() {
   return Status::ok();
 }
 
+void RemoteAgentServer::wake() {
+  const char byte = 0;
+  [[maybe_unused]] const ssize_t n = ::write(wake_fds_[1], &byte, 1);
+}
+
 void RemoteAgentServer::stop() {
   stop_ = true;
+  wake();
   if (thread_.joinable()) thread_.join();
   listener_.close();
   running_ = false;
@@ -92,8 +107,14 @@ void RemoteAgentServer::inject_skip_next_publish() {
 }
 
 void RemoteAgentServer::request_publish(SimTime at) {
-  std::lock_guard<std::mutex> lock(publish_mu_);
-  pending_publishes_.push_back(at);
+  {
+    std::lock_guard<std::mutex> lock(publish_mu_);
+    pending_publishes_.push_back(at);
+  }
+  // After the push: the loop drains the pipe before it swaps the queue, so
+  // a byte written now is either seen with this boundary or wakes the next
+  // poll() — a boundary is never left waiting.
+  wake();
 }
 
 void RemoteAgentServer::publish_tick(
@@ -209,36 +230,69 @@ Agent* RemoteAgentServer::route(const std::string& agent) {
   return nullptr;
 }
 
-// One pollfd set over listener + every live connection; everything below
-// runs on the single serve thread, so connection state needs no locks.
+// One pollfd set over the wake pipe, the listener and every live
+// connection; everything below runs on the single serve thread, so
+// connection state needs no locks.
 void RemoteAgentServer::serve() {
+  using TimePoint = transport::Clock::time_point;
   std::vector<std::unique_ptr<Conn>> conns;
+  auto reap = [&conns] {
+    conns.erase(std::remove_if(conns.begin(), conns.end(),
+                               [](const std::unique_ptr<Conn>& c) {
+                                 return c->dead;
+                               }),
+                conns.end());
+  };
   // Accept-error backoff: while a real accept failure is fresh, the
   // listener fd sits out of the poll set until `accept_resume`.
-  transport::Clock::time_point accept_resume{};
+  TimePoint accept_resume{};
   int accept_backoff_ms = 0;
 
   std::vector<struct pollfd> fds;
   while (!stop_) {
-    const bool accepting = transport::Clock::now() >= accept_resume;
+    const TimePoint before = transport::Clock::now();
+    const bool accepting = before >= accept_resume;
+    // The earliest pending deadline bounds the sleep; with none the loop
+    // blocks until a socket or the wake pipe has something for it.
+    TimePoint due = accepting ? TimePoint::max() : accept_resume;
     fds.clear();
-    // fd -1 is legal and ignored by poll(): keeps index i+1 <-> conns[i].
+    fds.push_back({wake_fds_[0], POLLIN, 0});
+    // fd -1 is legal and ignored by poll(): keeps index i+2 <-> conns[i].
     fds.push_back({accepting ? listener_.fd() : -1, POLLIN, 0});
     for (const auto& c : conns) {
       short events = POLLIN;
       if (c->woff < c->wbuf.size()) events |= POLLOUT;
       fds.push_back({c->sock.fd(), events, 0});
+      if (c->read_since != kUnarmed) {
+        due = std::min(due, c->read_since + io_deadline_);
+      }
+      if (c->write_since != kUnarmed) {
+        due = std::min(due, c->write_since + io_deadline_);
+      }
     }
-    ::poll(fds.data(), fds.size(), kServePollMs);
+    int timeout_ms = -1;
+    if (due != TimePoint::max()) {
+      // Rounded up: waking a hair early would only re-arm the same wait.
+      const int64_t left =
+          std::chrono::ceil<std::chrono::milliseconds>(due - before).count();
+      timeout_ms = static_cast<int>(
+          std::clamp<int64_t>(left, 0, std::numeric_limits<int>::max()));
+    }
+    ::poll(fds.data(), fds.size(), timeout_ms);
     if (stop_) break;
+    if (fds[0].revents & POLLIN) {
+      char sink[64];
+      while (::read(wake_fds_[0], sink, sizeof(sink)) > 0) {
+      }
+    }
 
     // Service the existing connections first (indices still line up with
-    // the pollfd set built above), then reap, then accept.
+    // the pollfd set built above), then reap, then publish, then accept.
     const size_t served = conns.size();
-    const auto now = transport::Clock::now();
+    const TimePoint now = transport::Clock::now();
     for (size_t i = 0; i < served; ++i) {
       Conn& c = *conns[i];
-      const short re = fds[i + 1].revents;
+      const short re = fds[i + 2].revents;
       if (re & POLLNVAL) {
         c.dead = true;
         continue;
@@ -246,62 +300,27 @@ void RemoteAgentServer::serve() {
       // POLLHUP/POLLERR still go through the read path first: a half-closed
       // peer may have final requests buffered; a vanished peer just gets
       // reaped when the read reports EOF.
-      if (!c.dead && (re & (POLLIN | POLLHUP | POLLERR))) {
-        for (;;) {
-          Result<size_t> got = c.sock.read_some(&c.rbuf);
-          if (!got.ok()) {
-            c.dead = true;  // peer closed or hard socket error
-            break;
-          }
-          if (got.value() == 0) break;  // drained to EAGAIN
-        }
-        if (!c.dead && !drain_messages(c)) c.dead = true;
-        // Anchor the partial-read deadline at the first buffered byte: a
-        // peer trickling a message one byte per poll tick cannot hold the
-        // buffer open forever.
-        if (c.rbuf.empty()) {
-          c.read_since = transport::Clock::time_point{};
-        } else if (c.read_since == transport::Clock::time_point{}) {
-          c.read_since = now;
-        }
-      }
-      if (!c.dead && c.woff < c.wbuf.size() && !flush_writes(c)) c.dead = true;
-      if (!c.dead && c.close_after_flush && c.woff >= c.wbuf.size()) {
-        c.dead = true;  // injected torn stream fully flushed: cut it
-      }
-      if (!c.dead) {
-        // Per-connection I/O deadline: a stalled partial read or a write
-        // queue making no progress costs the connection, not the loop.
-        const auto zero = transport::Clock::time_point{};
-        if ((c.read_since != zero && now - c.read_since > io_deadline_) ||
-            (c.write_since != zero && now - c.write_since > io_deadline_)) {
-          c.dead = true;
-        }
-      }
+      service_conn(c, (re & (POLLIN | POLLHUP | POLLERR)) != 0, now);
     }
-    conns.erase(std::remove_if(conns.begin(), conns.end(),
-                               [](const std::unique_ptr<Conn>& c) {
-                                 return c->dead;
-                               }),
-                conns.end());
+    reap();
 
-    // Push-mode boundaries requested since the last tick: capture once per
+    // Push-mode boundaries requested since the last pass: capture once per
     // subscribed agent per boundary and queue the frames.
     std::vector<SimTime> publishes;
     {
       std::lock_guard<std::mutex> lock(publish_mu_);
       publishes.swap(pending_publishes_);
     }
-    for (SimTime at : publishes) publish_tick(at, conns);
     if (!publishes.empty()) {
-      conns.erase(std::remove_if(conns.begin(), conns.end(),
-                                 [](const std::unique_ptr<Conn>& c) {
-                                   return c->dead;
-                                 }),
-                  conns.end());
+      // The poll() snapshot may predate a kSubscribe its peer wrote before
+      // requesting this publish; read every connection once more so that
+      // subscriber is not skipped.
+      for (auto& c : conns) service_conn(*c, true, now);
+      for (SimTime at : publishes) publish_tick(at, conns);
+      reap();
     }
 
-    if (accepting && (fds[0].revents & POLLIN)) {
+    if (accepting && (fds[1].revents & POLLIN)) {
       // Drain every pending connection; a zero deadline makes accept()
       // report "nothing pending" as kDeadlineExceeded.
       for (;;) {
@@ -333,6 +352,41 @@ void RemoteAgentServer::serve() {
   }
   conns.clear();  // closes every socket
   live_connections_.store(0, std::memory_order_relaxed);
+}
+
+void RemoteAgentServer::service_conn(Conn& c, bool readable,
+                                     transport::Clock::time_point now) {
+  if (!c.dead && readable) {
+    for (;;) {
+      Result<size_t> got = c.sock.read_some(&c.rbuf);
+      if (!got.ok()) {
+        c.dead = true;  // peer closed or hard socket error
+        break;
+      }
+      if (got.value() == 0) break;  // drained to EAGAIN
+    }
+    if (!c.dead && !drain_messages(c)) c.dead = true;
+    // Anchor the partial-read deadline at the first buffered byte: a peer
+    // trickling a message one byte per wakeup cannot hold the buffer open
+    // forever.
+    if (c.rbuf.empty()) {
+      c.read_since = kUnarmed;
+    } else if (c.read_since == kUnarmed) {
+      c.read_since = now;
+    }
+  }
+  if (!c.dead && c.woff < c.wbuf.size() && !flush_writes(c)) c.dead = true;
+  if (!c.dead && c.close_after_flush && c.woff >= c.wbuf.size()) {
+    c.dead = true;  // injected torn stream fully flushed: cut it
+  }
+  if (!c.dead) {
+    // Per-connection I/O deadline: a stalled partial read or a write queue
+    // making no progress costs the connection, not the loop.
+    if ((c.read_since != kUnarmed && now - c.read_since > io_deadline_) ||
+        (c.write_since != kUnarmed && now - c.write_since > io_deadline_)) {
+      c.dead = true;
+    }
+  }
 }
 
 // Parses and dispatches every complete PSM1 message buffered in c.rbuf,
@@ -478,12 +532,12 @@ bool RemoteAgentServer::flush_writes(Conn& c) {
   if (c.woff >= c.wbuf.size()) {
     c.wbuf.clear();
     c.woff = 0;
-    c.write_since = transport::Clock::time_point{};
+    c.write_since = kUnarmed;
   } else {
     // Still queued: the stall clock measures time since the last forward
     // progress, so it re-arms on progress and on first arming — never on a
-    // tick that moved nothing (that would defeat the deadline).
-    if (c.woff != before || c.write_since == transport::Clock::time_point{}) {
+    // flush that moved nothing (that would defeat the deadline).
+    if (c.woff != before || c.write_since == kUnarmed) {
       c.write_since = transport::Clock::now();
     }
     if (c.woff >= kWriteCompactBytes) {

@@ -7,7 +7,10 @@
 //   RemoteAgentServer — the fleet server that runs on the agents' machine.
 //   One poll()-driven event-loop thread owns the listener plus every live
 //   connection, so many controllers can dial one host concurrently — no
-//   connection ever waits in the backlog behind another being served.  Each
+//   connection ever waits in the backlog behind another being served.  The
+//   loop is purely event-driven: it sleeps until a socket is ready, a
+//   pending I/O or accept-backoff deadline falls due, or request_publish()
+//   / stop() writes its self-pipe, so an idle server makes no wakeups.  Each
 //   connection is a small state machine: hello queued on accept, request
 //   bytes accumulated nonblocking into a partial-read buffer until a whole
 //   PSM1 message lands, dispatch, replies drained through a per-connection
@@ -97,7 +100,7 @@ class RemoteAgentServer {
   // agents[0] is the primary — the one old-format requests route to and
   // the one the hello's base fields describe.
   RemoteAgentServer(std::vector<Agent*> agents, transport::Endpoint ep);
-  ~RemoteAgentServer() { stop(); }
+  ~RemoteAgentServer();
   RemoteAgentServer(const RemoteAgentServer&) = delete;
   RemoteAgentServer& operator=(const RemoteAgentServer&) = delete;
 
@@ -105,6 +108,7 @@ class RemoteAgentServer {
   // resolved address (ephemeral tcp ports are filled in).
   Status start();
   // Stops the serve thread, closes every live connection and the listener.
+  // Wakes the loop, so it returns without waiting on any timeout.
   // Idempotent.
   void stop();
   bool running() const { return running_; }
@@ -138,11 +142,15 @@ class RemoteAgentServer {
   // --- push-mode streaming (kSubscribe / kStreamData) ----------------------
   // Captures one window at `at` for every agent with at least one subscribed
   // connection and queues the kStreamData frames on those connections' write
-  // buffers.  Callable from any thread: the serve loop (which owns the
-  // connections) performs the capture + enqueue on its next tick, so a
-  // subscriber sees the frame within one poll interval.  With no subscribers
-  // the request is free — nothing is captured and not one stream byte is
-  // queued, keeping unsubscribed deployments byte-identical.  Per-agent
+  // buffers.  Callable from any thread and at any point of the server's
+  // lifecycle (before start(), after stop(): the boundary waits for the next
+  // loop, where without subscribers it costs nothing).  The call queues the
+  // boundary and wakes the serve loop, which owns the connections and does
+  // the capture + enqueue at once.  Before capturing, the loop reads every
+  // live connection, so a kSubscribe the peer wrote before this call was
+  // made is always honoured: that subscriber gets this frame.  With no
+  // subscribers the request is free — nothing is captured and not one stream
+  // byte is queued, keeping unsubscribed deployments byte-identical.  Per-agent
   // sequence numbers advance once per published window (shared by every
   // subscriber of that agent), giving clients cross-connection gap
   // detection; each connection's first frame is a full snapshot.
@@ -173,7 +181,7 @@ class RemoteAgentServer {
     std::string wbuf;        // reply bytes awaiting the socket buffer
     size_t woff = 0;         // bytes of wbuf already sent
     bool close_after_flush = false;  // injected truncate: torn stream
-    bool dead = false;               // marked for reaping this tick
+    bool dead = false;               // marked for reaping this pass
     // Deadline anchors: when the current partial read / undrained write
     // started.  time_point{} (epoch) = nothing pending.
     transport::Clock::time_point read_since{};
@@ -186,6 +194,14 @@ class RemoteAgentServer {
   };
 
   void serve();
+  // Writes one byte to the self-pipe (any thread); a full pipe already
+  // holds a wakeup, so EAGAIN is ignored.
+  void wake();
+  // One service pass over c: when `readable`, reads its socket to EAGAIN
+  // and dispatches every complete message; then flushes, cuts an injected
+  // torn stream and enforces the I/O deadlines.  Marks c dead instead of
+  // closing it (the caller reaps).
+  void service_conn(Conn& c, bool readable, transport::Clock::time_point now);
   // Drains request_publish() boundaries: one capture per subscribed agent
   // per boundary, frames delta-coded per connection.  Serve thread only.
   void publish_tick(SimTime at, std::vector<std::unique_ptr<Conn>>& conns);
@@ -211,6 +227,10 @@ class RemoteAgentServer {
   transport::Listener listener_;
   transport::WallDuration io_deadline_{5000};
   std::thread thread_;
+  // Self-pipe that wakes the serve loop's poll(): [0] read end (in the poll
+  // set), [1] write end.  Nonblocking; lives as long as the server, so
+  // wake() is safe at any point of its lifecycle.
+  int wake_fds_[2] = {-1, -1};
   std::atomic<bool> stop_{false};
   std::atomic<bool> running_{false};
   std::atomic<uint64_t> batches_served_{0};

@@ -17,8 +17,10 @@
 // zero-bytes-when-unsubscribed guarantee, and a TSan churn variant racing
 // subscriber reconnects against publish ticks.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -72,6 +74,12 @@ class FnSource : public StatsSource {
   ChannelKind kind_;
   Fn fn_;
 };
+
+std::string unique_unix_path() {
+  static std::atomic<int> counter{0};
+  return "/tmp/ps-stream-" + std::to_string(::getpid()) + "-" +
+         std::to_string(counter.fetch_add(1)) + ".sock";
+}
 
 // Windows elapsed at t (fractional).
 double win(SimTime t) {
@@ -760,6 +768,59 @@ TEST(RemoteStreamingTest, GapRepairRecoversByteEqualState) {
   server.stop();
 }
 
+// A kSubscribe written before request_publish() is honoured even when the
+// serve loop's poll() returned before the subscribe arrived: every round's
+// fresh subscriber receives that round's boundary as a snapshot.  Three pull
+// clients keep the loop busy so such early poll() returns are common.
+TEST(RemoteStreamingTest, PublishRightAfterSubscribeIsDelivered) {
+  auto sources = make_scenario();
+  Agent agent("ra", 5);
+  std::vector<ElementId> ids;
+  for (const auto& s : sources) {
+    if (!starts_with(s->id().name, "m0/")) continue;
+    ASSERT_TRUE(agent.add_element(s.get()).is_ok());
+    ids.push_back(s->id());
+  }
+  RemoteAgentServer server(&agent,
+                           transport::Endpoint::unix_path(unique_unix_path()));
+  ASSERT_TRUE(server.start().is_ok());
+
+  std::vector<std::unique_ptr<RemoteAgent>> pullers;
+  for (int p = 0; p < 3; ++p) {
+    pullers.push_back(std::make_unique<RemoteAgent>(server.endpoint()));
+    ASSERT_TRUE(pullers.back()->connect().is_ok());
+  }
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> pulls;
+  for (auto& puller : pullers) {
+    pulls.emplace_back([&stop, &ids, remote = puller.get()] {
+      for (int k = 0; !stop.load(std::memory_order_relaxed); ++k) {
+        remote->query_batch(ids, SimTime::millis(k));
+      }
+    });
+  }
+
+  for (int round = 1; round <= 20; ++round) {
+    StreamSubscriber sub(server.endpoint());
+    const Status connected = sub.connect(transport::WallDuration(2000));
+    if (!connected.is_ok()) {
+      ADD_FAILURE() << "round " << round << ": " << connected.message();
+      break;
+    }
+    server.request_publish(SimTime::millis(100 * round));
+    Result<std::string> body = sub.next_body(transport::WallDuration(5000));
+    if (!body.ok()) {
+      ADD_FAILURE() << "round " << round << ": " << body.status().message();
+      break;
+    }
+    EXPECT_TRUE(wire::decode_stream_data(body.value(), nullptr).ok())
+        << "round " << round << ": first frame is not a snapshot";
+  }
+  stop.store(true);
+  for (std::thread& t : pulls) t.join();
+  server.stop();
+}
+
 // TSan target: subscriber connect/read/close churn racing publish ticks.
 // Run under ThreadSanitizer via --gtest_filter=*Churn*.
 TEST(RemoteStreamingChurnTest, SubscriberReconnectRace) {
@@ -803,6 +864,51 @@ TEST(RemoteStreamingChurnTest, SubscriberReconnectRace) {
   EXPECT_GT(frames_seen, 0);
   EXPECT_GT(published.load(), 0);
   server.stop();
+}
+
+// TSan target: request_publish() from another thread racing stop() and a
+// restart.  Publishing before the first start() and after stop() is
+// harmless, and the restarted server still streams to a new subscriber.
+TEST(RemoteStreamingChurnTest, PublishRacesStopAndRestart) {
+  auto sources = make_scenario();
+  Agent agent("ra", 5);
+  for (const auto& s : sources) {
+    if (starts_with(s->id().name, "m0/")) {
+      ASSERT_TRUE(agent.add_element(s.get()).is_ok());
+    }
+  }
+  RemoteAgentServer server(&agent,
+                           transport::Endpoint::unix_path(unique_unix_path()));
+  server.request_publish(SimTime::millis(10));  // before the first start()
+  ASSERT_TRUE(server.start().is_ok());
+
+  std::atomic<bool> stop{false};
+  std::thread publisher([&] {
+    int ms = 10;
+    while (!stop.load(std::memory_order_relaxed)) {
+      server.request_publish(SimTime::millis(ms += 10));
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  server.stop();
+  EXPECT_FALSE(server.running());
+  ASSERT_TRUE(server.start().is_ok());
+  {
+    StreamSubscriber sub(server.endpoint());
+    ASSERT_TRUE(sub.connect(transport::WallDuration(2000)).is_ok());
+    Result<std::string> body = sub.next_body(transport::WallDuration(5000));
+    ASSERT_TRUE(body.ok()) << body.status().message();
+    EXPECT_TRUE(wire::decode_stream_data(body.value(), nullptr).ok());
+  }
+  server.stop();
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));  // after stop()
+  stop.store(true);
+  publisher.join();
+  server.request_publish(SimTime::millis(1));
+  EXPECT_FALSE(server.running());
+  EXPECT_GT(server.stream_frames_published(), 0u);
 }
 
 }  // namespace
