@@ -79,6 +79,11 @@ class PCpuBacklog : public Element, public sim::Steppable {
   ResourcePool::ConsumerId mem_consumer_;
   PortIn* out_;
   std::vector<Core> cores_;
+  // step() working buffers, kept across ticks so a steady-state step never
+  // allocates: per-core CPU demand, and one core's service order.  `fifo_`
+  // trades buffers with each core's `level` rather than copying it.
+  std::vector<double> want_core_;
+  std::vector<PacketBatch> fifo_;
   std::unordered_map<FlowId, int> pinned_;
   // Unbiased rounding of fractional per-batch drops: a small flow sharing a
   // core with a flood must lose its proportional share, not round up to

@@ -4,8 +4,22 @@
 
 namespace perfsight::dp {
 
-bool Element::int_active() const {
-  return int_stamper_ != nullptr && int_stamper_->enabled(int_slot_);
+void Element::int_ingress(PacketBatch& b, uint64_t depth) {
+  if (int_stamper_ != nullptr) {
+    b.int_tag = int_stamper_->maybe_tag(int_slot_, b, depth);
+  }
+}
+
+void Element::int_arrive(PacketBatch& b, uint64_t depth, Duration io_time) {
+  if (b.int_tag != 0 && int_stamper_ != nullptr) {
+    b.int_tag = int_stamper_->arrive(int_slot_, b.int_tag, depth, io_time);
+  }
+}
+
+void Element::int_drop(uint64_t tag, uint64_t depth) {
+  if (tag != 0 && int_stamper_ != nullptr) {
+    int_stamper_->mark_dropped(int_slot_, tag, depth);
+  }
 }
 
 ChannelKind channel_for(ElementKind kind) {

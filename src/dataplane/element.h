@@ -66,8 +66,6 @@ class Element : public StatsSource {
   }
   inband::IntStamper* int_stamper() const { return int_stamper_; }
   int int_slot() const { return int_slot_; }
-  // Attached AND the slot's enable bit is on.
-  bool int_active() const;
 
  protected:
   // Counter updates used by subclasses on their datapaths.
@@ -93,6 +91,21 @@ class Element : public StatsSource {
   }
   void note_in_time(Duration d) { stats_.in_time.add(d); }
   void note_out_time(Duration d) { stats_.out_time.add(d); }
+
+  // INT hooks for the subclasses' packet paths, each one stamper call at
+  // most (IntStamper::maybe_tag / arrive / mark_dropped):
+  //  * int_ingress: `b` enters the dataplane here; samples it and sets
+  //    the tag it carries on.
+  //  * int_arrive: `b` reaches this element with `depth` packets ahead of
+  //    it and costs `io_time` here; stamps its flight, and at a harvest
+  //    slot clears the tag.
+  //  * int_drop: the packet that carried `tag` tail-dropped here.  A tag
+  //    can reach an unattached element when only part of the chain
+  //    participates.
+  void int_ingress(PacketBatch& b, uint64_t depth);
+  void int_arrive(PacketBatch& b, uint64_t depth,
+                  Duration io_time = Duration{});
+  void int_drop(uint64_t tag, uint64_t depth);
 
   // Subclasses append element-specific attributes (queue depth, rule stats).
   virtual void extra_attrs(StatsRecord& r) const { (void)r; }

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "perfsight/inband.h"
-
 namespace perfsight::dp {
 
 void PNic::offer_rx(PacketBatch b) {
@@ -33,19 +31,13 @@ void PNic::admit_rx(Duration dt) {
       }
     }
     if (fit.empty()) continue;
-    if (int_active()) {
-      // Ingress sampling: the pNIC is where flights begin.  The stamped
-      // depth is the ring occupancy the sampled packet found on arrival.
-      fit.int_tag =
-          int_stamper()->maybe_tag(int_slot(), fit, rx_ring_.packets());
-    }
+    // Ingress sampling: the pNIC is where flights begin.  The stamped
+    // depth is the ring occupancy the sampled packet found on arrival.
+    int_ingress(fit, rx_ring_.packets());
     uint64_t dp = rx_ring_.dropped_packets();
     uint64_t db = rx_ring_.dropped_bytes();
     uint64_t accepted_pkts = rx_ring_.enqueue(fit);
-    if (fit.int_tag != 0 && accepted_pkts == 0) {
-      int_stamper()->mark_dropped(int_slot(), fit.int_tag,
-                                  rx_ring_.packets());
-    }
+    if (accepted_pkts == 0) int_drop(fit.int_tag, rx_ring_.packets());
     uint64_t newly_dp = rx_ring_.dropped_packets() - dp;
     note_drop(newly_dp, rx_ring_.dropped_bytes() - db);
     rx_drop_pkts_ += newly_dp;

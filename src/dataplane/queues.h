@@ -9,7 +9,6 @@
 
 #include "dataplane/element.h"
 #include "packet/queue.h"
-#include "perfsight/inband.h"
 
 namespace perfsight::dp {
 
@@ -23,28 +22,17 @@ class QueueElement : public Element, public PortIn {
 
   void accept(PacketBatch b) override {
     note_in(b);
-    if (b.int_tag != 0 && int_active()) {
-      // Stamp the arrival occupancy — the depth the tagged packet found,
-      // not the depth after it joined.  At a harvest slot the flight
-      // finalizes here and the tag stops travelling.
-      if (int_stamper()->harvesting(int_slot())) {
-        int_stamper()->harvest(int_slot(), b.int_tag, q_.packets());
-        b.int_tag = 0;
-      } else {
-        int_stamper()->stamp(int_slot(), b.int_tag, q_.packets());
-      }
-    }
+    // Stamp the arrival occupancy — the depth the tagged packet found, not
+    // the depth after it joined.
+    int_arrive(b, q_.packets());
     const uint64_t tag = b.int_tag;
     uint64_t dp = q_.dropped_packets();
     uint64_t db = q_.dropped_bytes();
     const uint64_t accepted = q_.enqueue(b);
     note_drop(q_.dropped_packets() - dp, q_.dropped_bytes() - db);
-    if (tag != 0 && accepted == 0 && int_stamper() != nullptr) {
-      // The tag rides the batch's first packet; a full-batch drop is the
-      // only way the tagged packet itself tail-dropped.  (A tag can reach
-      // an unattached element when only part of the chain participates.)
-      int_stamper()->mark_dropped(int_slot(), tag, q_.packets());
-    }
+    // The tag rides the batch's first packet; a full-batch drop is the only
+    // way the tagged packet itself tail-dropped.
+    if (accepted == 0) int_drop(tag, q_.packets());
     if (trace_enabled()) note_watermark();
   }
 
@@ -138,21 +126,12 @@ class VNic : public Element {
   // Hypervisor side.
   void push_rx(PacketBatch b) {
     note_in(b);
-    if (b.int_tag != 0 && int_active()) {
-      if (int_stamper()->harvesting(int_slot())) {
-        int_stamper()->harvest(int_slot(), b.int_tag, rx_.packets());
-        b.int_tag = 0;
-      } else {
-        int_stamper()->stamp(int_slot(), b.int_tag, rx_.packets());
-      }
-    }
+    int_arrive(b, rx_.packets());
     const uint64_t tag = b.int_tag;
     uint64_t dp = rx_.dropped_packets(), db = rx_.dropped_bytes();
     const uint64_t accepted = rx_.enqueue(b);
     note_drop(rx_.dropped_packets() - dp, rx_.dropped_bytes() - db);
-    if (tag != 0 && accepted == 0 && int_stamper() != nullptr) {
-      int_stamper()->mark_dropped(int_slot(), tag, rx_.packets());
-    }
+    if (accepted == 0) int_drop(tag, rx_.packets());
   }
   PacketBatch fetch_tx(uint64_t max_pkts, uint64_t max_bytes) {
     return tx_.dequeue(max_pkts, max_bytes);

@@ -150,6 +150,10 @@ class StreamVm : public sim::Steppable {
   std::vector<uint64_t> conn_offer_prev_;   // per-conn offers last tick
   std::vector<uint64_t> conn_offer_accum_;  // per-conn offers this tick
   uint64_t ingress_spare_ = 0;              // unallocated, lent FCFS
+  // Per-tick arbiter buffers, kept so a steady-state step never allocates.
+  std::vector<Demand> demands_;
+  std::vector<double> alloc_;
+  MaxMinScratch scratch_;
 };
 
 struct StreamConnConfig {

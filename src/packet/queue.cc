@@ -8,10 +8,10 @@ PacketBatch BoundedPacketQueue::dequeue(uint64_t max_packets,
   // backlog; returns one merged batch.  With multiple flows at the head we
   // return only the head flow's share this call; callers loop if they want
   // to drain a byte budget across flows (see pop_some).
-  if (q_.empty() || max_packets == 0 || max_bytes == 0) return PacketBatch{};
-  PacketBatch& head = q_.front();
+  if (count_ == 0 || max_packets == 0 || max_bytes == 0) return PacketBatch{};
+  PacketBatch& head = front();
   PacketBatch out = take_front(head, max_packets, max_bytes);
-  if (head.empty()) q_.pop_front();
+  if (head.empty()) pop_front();
   packets_ -= out.packets;
   bytes_ -= out.bytes;
   return out;

@@ -10,9 +10,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <unordered_map>
+#include <vector>
 
 #include "packet/batch.h"
 
@@ -56,7 +56,7 @@ class BoundedPacketQueue {
   // caps are exhausted or the queue is empty.
   PacketBatch pop_some(uint64_t& budget_packets, uint64_t& budget_bytes);
 
-  bool empty() const { return q_.empty(); }
+  bool empty() const { return count_ == 0; }
   uint64_t packets() const { return packets_; }
   uint64_t bytes() const { return bytes_; }
   uint64_t dropped_packets() const { return dropped_packets_; }
@@ -72,19 +72,42 @@ class BoundedPacketQueue {
   }
 
  private:
+  // The batches live in a ring over `ring_` (capacity a power of two),
+  // which grows by doubling and never shrinks: a queue that fills and
+  // drains every tick allocates nothing once it has reached its peak
+  // batch count.
+  PacketBatch& at(size_t i) { return ring_[(head_ + i) & (ring_.size() - 1)]; }
+  PacketBatch& front() { return at(0); }
+  PacketBatch& back() { return at(count_ - 1); }
+  void pop_front() {
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --count_;
+  }
+  void push_back(const PacketBatch& b) {
+    if (count_ == ring_.size()) {
+      std::vector<PacketBatch> grown(ring_.empty() ? 8 : 2 * ring_.size());
+      for (size_t i = 0; i < count_; ++i) grown[i] = at(i);
+      ring_.swap(grown);
+      head_ = 0;
+    }
+    ++count_;
+    back() = b;
+  }
+
   void push(const PacketBatch& b) {
-    // Merge with tail if same flow — keeps the deque small under steady
+    // Merge with tail if same flow — keeps the ring small under steady
     // per-tick arrivals without changing FIFO semantics between flows that
     // never interleave within a tick.
-    if (!q_.empty() && q_.back().flow == b.flow) {
-      q_.back().packets += b.packets;
-      q_.back().bytes += b.bytes;
+    if (count_ > 0 && back().flow == b.flow) {
+      PacketBatch& tail = back();
+      tail.packets += b.packets;
+      tail.bytes += b.bytes;
       // A merged batch can carry only one INT tag; the tail keeps its own,
       // an untagged tail adopts the arrival's.  (A tag lost this way is an
       // orphaned flight the stamper expires — never a wrong counter.)
-      if (q_.back().int_tag == 0) q_.back().int_tag = b.int_tag;
+      if (tail.int_tag == 0) tail.int_tag = b.int_tag;
     } else {
-      q_.push_back(b);
+      push_back(b);
     }
     packets_ += b.packets;
     bytes_ += b.bytes;
@@ -96,7 +119,9 @@ class BoundedPacketQueue {
   }
 
   QueueCaps caps_;
-  std::deque<PacketBatch> q_;
+  std::vector<PacketBatch> ring_;
+  size_t head_ = 0;   // index of the oldest batch in ring_
+  size_t count_ = 0;  // batches queued
   uint64_t packets_ = 0;
   uint64_t bytes_ = 0;
   uint64_t dropped_packets_ = 0;

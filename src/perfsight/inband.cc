@@ -30,19 +30,19 @@ void IntStamper::enable_all(bool on) {
   for (Slot& s : slots_) s.enabled = on;
 }
 
-bool IntStamper::enabled(int slot) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return valid_slot(slot) && slots_[static_cast<size_t>(slot)].enabled;
-}
-
 void IntStamper::set_harvest(int slot, bool on) {
   std::lock_guard<std::mutex> lock(mu_);
   if (valid_slot(slot)) slots_[static_cast<size_t>(slot)].harvest = on;
 }
 
-bool IntStamper::harvesting(int slot) const {
+ElementId IntStamper::element(int slot) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return valid_slot(slot) && slots_[static_cast<size_t>(slot)].harvest;
+  return valid_slot(slot) ? slots_[static_cast<size_t>(slot)].id : ElementId{};
+}
+
+size_t IntStamper::slot_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return slots_.size();
 }
 
 void IntStamper::set_now(SimTime now) {
@@ -61,8 +61,22 @@ void IntStamper::append_hop_locked(Flight& f, int slot, uint64_t queue_pkts) {
     return;
   }
   const Slot& s = slots_[static_cast<size_t>(slot)];
-  f.hops.push_back(Hop{s.id, s.kind, s.vm, queue_pkts, Duration{}, false});
+  f.hops.push_back(Hop{slot, s.kind, s.vm, queue_pkts, Duration{}, false});
   ++stats_.hops_stamped;
+}
+
+void IntStamper::hop_locked(int slot, uint64_t tag, uint64_t queue_pkts,
+                            Duration io_time, bool final_hop) {
+  auto it = inflight_.find(tag);
+  if (it == inflight_.end()) return;  // expired orphan: the tag outlived us
+  Flight& f = it->second;
+  append_hop_locked(f, slot, queue_pkts);
+  if (!f.hops.empty()) f.hops.back().io_time += io_time;
+  if (final_hop) {
+    finalize_locked(tag, false);
+  } else {
+    f.end = now_;
+  }
 }
 
 void IntStamper::finalize_locked(uint64_t tag, bool dropped) {
@@ -82,10 +96,8 @@ void IntStamper::finalize_locked(uint64_t tag, bool dropped) {
 uint64_t IntStamper::maybe_tag(int slot, const PacketBatch& b,
                                uint64_t queue_pkts) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!valid_slot(slot) || !slots_[static_cast<size_t>(slot)].enabled ||
-      b.packets == 0) {
-    return 0;
-  }
+  if (!enabled_locked(slot)) return b.int_tag;
+  if (b.packets == 0) return 0;
   const uint64_t n = cfg_.sample_every == 0 ? 1 : cfg_.sample_every;
   const uint64_t before = stats_.pkts_seen;
   stats_.pkts_seen += b.packets;
@@ -104,16 +116,20 @@ uint64_t IntStamper::maybe_tag(int slot, const PacketBatch& b,
   return tag;
 }
 
+uint64_t IntStamper::arrive(int slot, uint64_t tag, uint64_t queue_pkts,
+                            Duration io_time) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (tag == 0 || !enabled_locked(slot)) return tag;
+  const bool harvest = slots_[static_cast<size_t>(slot)].harvest;
+  hop_locked(slot, tag, queue_pkts, io_time, harvest);
+  // At a harvest slot the tag stops travelling, even an expired orphan's.
+  return harvest ? 0 : tag;
+}
+
 void IntStamper::stamp(int slot, uint64_t tag, uint64_t queue_pkts) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!valid_slot(slot) || !slots_[static_cast<size_t>(slot)].enabled ||
-      tag == 0) {
-    return;
-  }
-  auto it = inflight_.find(tag);
-  if (it == inflight_.end()) return;  // expired orphan: the tag outlived us
-  append_hop_locked(it->second, slot, queue_pkts);
-  it->second.end = now_;
+  if (tag == 0 || !enabled_locked(slot)) return;
+  hop_locked(slot, tag, queue_pkts, Duration{}, false);
 }
 
 void IntStamper::add_io_time(uint64_t tag, Duration d) {
@@ -129,8 +145,7 @@ void IntStamper::mark_dropped(int slot, uint64_t tag, uint64_t queue_pkts) {
   auto it = inflight_.find(tag);
   if (it == inflight_.end()) return;
   Flight& f = it->second;
-  const Slot& s = slots_[static_cast<size_t>(slot)];
-  if (!f.hops.empty() && f.hops.back().element == s.id) {
+  if (!f.hops.empty() && f.hops.back().slot == slot) {
     // The arrival hop was already stamped; just mark it.
     f.hops.back().drop_tail = true;
   } else {
@@ -142,14 +157,8 @@ void IntStamper::mark_dropped(int slot, uint64_t tag, uint64_t queue_pkts) {
 
 void IntStamper::harvest(int slot, uint64_t tag, uint64_t queue_pkts) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!valid_slot(slot) || !slots_[static_cast<size_t>(slot)].enabled ||
-      tag == 0) {
-    return;
-  }
-  auto it = inflight_.find(tag);
-  if (it == inflight_.end()) return;
-  append_hop_locked(it->second, slot, queue_pkts);
-  finalize_locked(tag, false);
+  if (tag == 0 || !enabled_locked(slot)) return;
+  hop_locked(slot, tag, queue_pkts, Duration{}, true);
 }
 
 std::vector<Flight> IntStamper::take_finished() {
@@ -181,48 +190,58 @@ IntStamper::Stats IntStamper::stats() const {
 IntHarvester::IntHarvester(IntStamper* stamper, StreamCache* cache, Config cfg)
     : stamper_(stamper), cache_(cache), cfg_(std::move(cfg)) {}
 
+void IntHarvester::sync_slots() {
+  const size_t n = stamper_->slot_count();
+  if (n == slot_ids_.size()) return;
+  for (size_t slot = slot_ids_.size(); slot < n; ++slot) {
+    slot_ids_.push_back(stamper_->element(static_cast<int>(slot)));
+  }
+  std::vector<ElementId> ids = slot_ids_;
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  records_.assign(ids.size(), Record{});
+  for (size_t i = 0; i < ids.size(); ++i) records_[i].id = std::move(ids[i]);
+  slot_record_.resize(n);
+  for (size_t slot = 0; slot < n; ++slot) {
+    auto it = std::lower_bound(
+        records_.begin(), records_.end(), slot_ids_[slot],
+        [](const Record& r, const ElementId& id) { return r.id < id; });
+    slot_record_[slot] = static_cast<size_t>(it - records_.begin());
+  }
+}
+
 size_t IntHarvester::close_window(SimTime window_start) {
   stamper_->expire(cfg_.expire_after);
   std::vector<Flight> flights = stamper_->take_finished();
+  // Every hop of a taken flight names a slot registered before the take.
+  sync_slots();
   ++stats_.windows_closed;
   stats_.flights_absorbed += flights.size();
 
-  struct PerElement {
-    ElementKind kind = ElementKind::kOther;
-    int vm = -1;
-    uint64_t samples = 0;
-    uint64_t peak_pkts = 0;
-    uint64_t drop_tail = 0;
-    int64_t io_ns = 0;
-  };
-  std::map<ElementId, PerElement> agg;
-
+  size_t touched = 0;
   for (const Flight& f : flights) {
     // Wire-cost accounting: what this flight's report costs as a kIntReport
     // body — the overhead figure the bench gates against BASELINE.json.
-    wire::IntReportMsg m;
-    m.agent = cfg_.agent;
-    m.tag = f.tag;
-    m.start = f.start;
-    m.end = f.end;
-    m.dropped = f.dropped;
-    m.hops.reserve(f.hops.size());
+    wire::IntReportShape shape;
+    shape.agent_bytes = cfg_.agent.size();
+    shape.hops = f.hops.size();
     for (const Hop& h : f.hops) {
-      m.hops.push_back(wire::IntHopWire{
-          h.element, h.queue_pkts, h.io_time.ns(),
-          static_cast<uint8_t>(h.drop_tail ? 1 : 0)});
-    }
-    Result<std::string> enc = wire::encode_int_report(m);
-    if (enc.ok()) stats_.report_bytes += enc.value().size();
+      const size_t slot = static_cast<size_t>(h.slot);
+      const size_t name_bytes = slot_ids_[slot].name.size();
+      shape.hop_name_bytes += name_bytes;
+      shape.longest_hop_name = std::max(shape.longest_hop_name, name_bytes);
 
-    for (const Hop& h : f.hops) {
-      PerElement& pe = agg[h.element];
-      pe.kind = h.kind;
-      pe.vm = h.vm;
-      ++pe.samples;
-      if (h.queue_pkts > pe.peak_pkts) pe.peak_pkts = h.queue_pkts;
-      pe.io_ns += h.io_time.ns();
-      if (h.drop_tail) ++pe.drop_tail;
+      Record& r = records_[slot_record_[slot]];
+      if (r.samples == 0) ++touched;
+      r.kind = h.kind;
+      r.vm = h.vm;
+      ++r.samples;
+      if (h.queue_pkts > r.peak_pkts) r.peak_pkts = h.queue_pkts;
+      r.io_ns += h.io_time.ns();
+      if (h.drop_tail) ++r.drop_tail;
+    }
+    if (std::optional<size_t> bytes = wire::int_report_size(shape)) {
+      stats_.report_bytes += *bytes;
     }
   }
 
@@ -231,37 +250,42 @@ size_t IntHarvester::close_window(SimTime window_start) {
   burst.window_start = window_start;
 
   std::vector<QueryResponse> responses;
-  responses.reserve(agg.size());
-  for (const auto& [id, pe] : agg) {
+  responses.reserve(touched);
+  for (Record& r : records_) {
+    if (r.samples == 0) continue;
     QueryResponse qr;
     qr.record.timestamp = window_start;
-    qr.record.element = id;
+    qr.record.element = r.id;
     // Standard names first, so rule books / alert rules written against the
     // agent channels read INT windows unchanged; int* raw aggregates after.
     // kDropPkts is the 1-in-N scaled estimate of packets lost where a
     // sampled flight tail-dropped.
     qr.record.attrs = {
-        {attr::kQueuePkts, static_cast<double>(pe.peak_pkts)},
-        {attr::kDropPkts, static_cast<double>(pe.drop_tail * every)},
-        {attr::kInTimeNs, static_cast<double>(pe.io_ns)},
-        {attr::kType, static_cast<double>(static_cast<int>(pe.kind))},
-        {attr::kVm, static_cast<double>(pe.vm)},
-        {kIntSamples, static_cast<double>(pe.samples)},
-        {kIntQueuePeakPkts, static_cast<double>(pe.peak_pkts)},
-        {kIntIoTimeNs, static_cast<double>(pe.io_ns)},
-        {kIntDropTailFlights, static_cast<double>(pe.drop_tail)},
+        {attr::kQueuePkts, static_cast<double>(r.peak_pkts)},
+        {attr::kDropPkts, static_cast<double>(r.drop_tail * every)},
+        {attr::kInTimeNs, static_cast<double>(r.io_ns)},
+        {attr::kType, static_cast<double>(static_cast<int>(r.kind))},
+        {attr::kVm, static_cast<double>(r.vm)},
+        {kIntSamples, static_cast<double>(r.samples)},
+        {kIntQueuePeakPkts, static_cast<double>(r.peak_pkts)},
+        {kIntIoTimeNs, static_cast<double>(r.io_ns)},
+        {kIntDropTailFlights, static_cast<double>(r.drop_tail)},
     };
     qr.quality = DataQuality::kFresh;
     qr.attempts = 1;
     responses.push_back(std::move(qr));
 
     if (cfg_.microburst_depth_pkts > 0 &&
-        pe.peak_pkts >= cfg_.microburst_depth_pkts) {
-      burst.elements.push_back(id);
-      if (pe.peak_pkts > burst.peak_depth_pkts) {
-        burst.peak_depth_pkts = pe.peak_pkts;
+        r.peak_pkts >= cfg_.microburst_depth_pkts) {
+      burst.elements.push_back(r.id);
+      if (r.peak_pkts > burst.peak_depth_pkts) {
+        burst.peak_depth_pkts = r.peak_pkts;
       }
     }
+    r.samples = 0;
+    r.peak_pkts = 0;
+    r.drop_tail = 0;
+    r.io_ns = 0;
   }
 
   if (cache_ != nullptr && !responses.empty()) {

@@ -8,21 +8,23 @@
 // Little Minions" does: the packets themselves carry the evidence.  A
 // sampled packet (1-in-N at the ingress element) is tagged with a flight id;
 // every participating element it traverses stamps a hop onto the flight's
-// metadata stack — element id, queue depth at arrival, io-time spent,
+// metadata stack — its stamper slot, queue depth at arrival, io-time spent,
 // drop-tail marker — and the last element harvests the completed stack.
 //
 // Two classes split the work across the dataplane/collection boundary:
 //
 //  * IntStamper — the dataplane side.  Elements register for a slot and
 //    keep a raw pointer + slot index (dp::Element::set_int_stamper); every
-//    hook in the packet path is gated on a per-slot enable bit, so a
-//    disabled (or never-attached) stamper leaves the packet path and every
-//    counter bit-identical to a build without INT.  Flights live in a
-//    bounded in-flight table; completed (harvested or drop-tailed) flights
-//    move to a finished list the harvester drains.
+//    hook in the packet path is one stamper call gated on a per-slot enable
+//    bit, so a disabled (or never-attached) stamper leaves the packet path
+//    and every counter bit-identical to a build without INT.  Hops name
+//    their slot, not the element: stamping copies no string.  Flights live
+//    in a bounded in-flight table; completed (harvested or drop-tailed)
+//    flights move to a finished list the harvester drains.
 //
 //  * IntHarvester — the collection side.  close_window(t) drains finished
-//    flights, aggregates them per element into the same StatsRecord attr
+//    flights, aggregates them per element (through a slot → element table
+//    it rebuilds only when new slots register) into the same StatsRecord attr
 //    format the agent channels produce (so Algorithms 1/2, the rule book
 //    and the AlertWatcher consume INT records unchanged), and ingests one
 //    window into a StreamCache under Provenance::kInband.  A queue-depth
@@ -39,7 +41,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -65,7 +66,7 @@ inline constexpr const char* kIntDropTailFlights = "intDropTailFlights";
 
 // One stamped hop of a flight's metadata stack.
 struct Hop {
-  ElementId element;
+  int slot = -1;  // the stamping element; IntStamper::element(slot) names it
   ElementKind kind = ElementKind::kOther;
   int vm = -1;
   uint64_t queue_pkts = 0;  // occupancy of the element's queue at arrival
@@ -106,11 +107,14 @@ class IntStamper {
   }
   void enable(int slot, bool on);
   void enable_all(bool on);
-  bool enabled(int slot) const;
   // Flights finalize (and the element strips the tag) at a harvest slot —
   // normally the last element of the chain.
   void set_harvest(int slot, bool on);
-  bool harvesting(int slot) const;
+  // The element registered at `slot` (empty for an unknown slot), and how
+  // many slots exist.  Slots are append-only: a slot's element never
+  // changes once registered.
+  ElementId element(int slot) const;
+  size_t slot_count() const;
 
   // --- clock -----------------------------------------------------------------
   // The stamper is not a Steppable; the driver advances its notion of "now"
@@ -120,18 +124,29 @@ class IntStamper {
   // --- packet-path hooks (called by the dataplane) ---------------------------
   // Ingress sampling: counts `b`'s packets against the 1-in-N knob and, on
   // crossing a sample boundary, opens a flight whose first hop is this slot
-  // at `queue_pkts` depth.  Returns the new tag, or 0 (not sampled, slot
-  // disabled, or in-flight table full).
+  // at `queue_pkts` depth.  Returns the tag the batch carries on: at a
+  // disabled (or unknown) slot `b.int_tag` unchanged, otherwise the new tag
+  // or 0 (not sampled, or in-flight table full).
   uint64_t maybe_tag(int slot, const PacketBatch& b, uint64_t queue_pkts);
-  // Appends a hop to `tag`'s stack (no-op for unknown/expired tags).
+  // A batch carrying `tag` arrives at `slot` and finds `queue_pkts` packets
+  // ahead of it; `io_time` is what the element spends on it.  Stamps a hop
+  // (or, at a harvest slot, stamps the final hop and finalizes the flight)
+  // and returns the tag that travels on: 0 after a harvest, else `tag`.
+  // A disabled or unknown slot, or tag 0, changes nothing.  This is the
+  // per-element packet-path hook: one lock per tagged arrival.
+  uint64_t arrive(int slot, uint64_t tag, uint64_t queue_pkts,
+                  Duration io_time = Duration{});
+  // arrive's two halves, for a caller that picks one: stamp appends a hop
+  // to `tag`'s stack; harvest appends the final hop and finalizes the
+  // flight whether or not `slot` is a harvest slot.  Both ignore a tag
+  // that is unknown or expired.
   void stamp(int slot, uint64_t tag, uint64_t queue_pkts);
+  void harvest(int slot, uint64_t tag, uint64_t queue_pkts);
   // Adds io-time to the flight's most recent hop.
   void add_io_time(uint64_t tag, Duration d);
   // The tagged packet tail-dropped at this slot: marks the stack and
   // finalizes the flight as dropped.
   void mark_dropped(int slot, uint64_t tag, uint64_t queue_pkts);
-  // The flight reached a harvest slot: appends the final hop and finalizes.
-  void harvest(int slot, uint64_t tag, uint64_t queue_pkts);
 
   // --- harvest side ----------------------------------------------------------
   // Drains the finished-flight list (harvested and dropped flights, in
@@ -170,7 +185,14 @@ class IntStamper {
   bool valid_slot(int slot) const {
     return slot >= 0 && static_cast<size_t>(slot) < slots_.size();
   }
+  bool enabled_locked(int slot) const {
+    return valid_slot(slot) && slots_[static_cast<size_t>(slot)].enabled;
+  }
   void append_hop_locked(Flight& f, int slot, uint64_t queue_pkts);
+  // Stamps `tag`'s hop at `slot` carrying `io_time`, then finalizes the
+  // flight (`final_hop`) or moves its end to now.
+  void hop_locked(int slot, uint64_t tag, uint64_t queue_pkts,
+                  Duration io_time, bool final_hop);
   void finalize_locked(uint64_t tag, bool dropped);
 
   Config cfg_;
@@ -225,18 +247,39 @@ class IntHarvester {
     uint64_t windows_closed = 0;
     uint64_t flights_absorbed = 0;
     uint64_t microbursts = 0;
-    // Wire cost of the harvested reports (each flight encoded as a
-    // kIntReport body) — the "stamping overhead" the bench gates.
+    // Wire cost of the harvested reports (each flight's kIntReport body
+    // size, wire::int_report_size) — the "stamping overhead" the bench
+    // gates.
     uint64_t report_bytes = 0;
   };
   Stats stats() const { return stats_; }
 
  private:
+  // One window's aggregate of every hop stamped by one element.
+  struct Record {
+    ElementId id;
+    ElementKind kind = ElementKind::kOther;  // the last hop's
+    int vm = -1;                             // the last hop's
+    uint64_t samples = 0;
+    uint64_t peak_pkts = 0;
+    uint64_t drop_tail = 0;
+    int64_t io_ns = 0;
+  };
+
+  // Extends the slot tables to every slot the stamper has registered.  A
+  // no-op unless the slot count grew; records hold no aggregates then.
+  void sync_slots();
+
   IntStamper* stamper_;
   StreamCache* cache_;
   Config cfg_;
   MicroburstFn on_microburst_;
   Stats stats_;
+  std::vector<ElementId> slot_ids_;    // slot → element
+  std::vector<size_t> slot_record_;    // slot → index into records_
+  // One per distinct element, ascending by id: slots that share an id
+  // share a record, and records are emitted in this order.
+  std::vector<Record> records_;
 };
 
 }  // namespace inband

@@ -852,6 +852,8 @@ namespace {
 
 // Fixed-width portion of an encoded hop.
 constexpr size_t kMinIntHopSize = 2 + 8 + 8 + 1;
+// Fixed-width portion of an encoded report, hops excluded.
+constexpr size_t kMinIntReportSize = 2 + 8 + 8 + 8 + 1 + 2;
 
 }  // namespace
 
@@ -888,6 +890,17 @@ Result<std::string> encode_int_report(const IntReportMsg& m) {
         " bytes exceeds the structural cap");
   }
   return body;
+}
+
+std::optional<size_t> int_report_size(const IntReportShape& shape) {
+  if (shape.agent_bytes > 0xffff || shape.hops > 0xffff ||
+      shape.longest_hop_name > 0xffff) {
+    return std::nullopt;
+  }
+  const size_t size = kMinIntReportSize + shape.agent_bytes +
+                      shape.hops * kMinIntHopSize + shape.hop_name_bytes;
+  if (size > kMaxPayload) return std::nullopt;
+  return size;
 }
 
 Result<IntReportMsg> decode_int_report(std::string_view body) {

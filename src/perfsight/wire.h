@@ -39,6 +39,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -310,8 +311,9 @@ Result<StreamFrameInfo> peek_stream_data(std::string_view body);
 
 // --- in-band telemetry reports (kIntReport) ----------------------------------
 // One sampled packet's completed metadata stack crossing a process boundary
-// (harvester → controller).  In-process harvesting bypasses the envelope;
-// the codec is also what prices INT overhead (report bytes per flight).
+// (harvester → controller).  In-process harvesting bypasses the envelope
+// and prices INT overhead (report bytes per flight) with int_report_size,
+// which computes the encoded size without building the body.
 //
 //   body := u16-str agent | u64 tag | i64 start_ns | i64 end_ns | u8 flags |
 //           u16 hop_count | hop*
@@ -343,5 +345,18 @@ Result<std::string> encode_int_report(const IntReportMsg& m);
 // Total over arbitrary bytes: truncation (any strict prefix), trailing
 // bytes, and reserved flag bits all fail loudly.
 Result<IntReportMsg> decode_int_report(std::string_view body);
+
+// The lengths a report's encoded size depends on.
+struct IntReportShape {
+  size_t agent_bytes = 0;       // agent name length
+  size_t hops = 0;              // hop count
+  size_t hop_name_bytes = 0;    // element name lengths summed over the hops
+  size_t longest_hop_name = 0;  // the longest hop's element name
+};
+// Size in bytes of the body encode_int_report produces for a report of this
+// shape, in closed form.  Declines (nullopt) exactly where that encode
+// fails on size: a name over 64 KiB, more than 65535 hops, or a body past
+// kMaxPayload.
+std::optional<size_t> int_report_size(const IntReportShape& shape);
 
 }  // namespace perfsight::wire

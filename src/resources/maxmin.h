@@ -20,13 +20,22 @@ struct Demand {
   double cap = -1;     // hard per-consumer limit; <0 means uncapped
 };
 
-// Returns one allocation per demand.  Guarantees:
+// Working buffers of one arbiter.  The arbiter runs every tick for every
+// pool, so callers own one of these and reuse it: once grown to the largest
+// demand set, no call allocates.
+struct MaxMinScratch {
+  std::vector<double> want;  // min(amount, cap) per demand
+  std::vector<char> done;    // satisfied (or never wanting) per demand
+};
+
+// Writes one allocation per demand into `alloc` (resized to
+// demands.size()).  Guarantees:
 //   * sum(alloc) <= capacity (+ epsilon)
 //   * alloc[i] <= min(demand, cap) for every i
 //   * work conserving: if sum(min(demand,cap)) >= capacity, the full
 //     capacity is allocated
 //   * max-min fair w.r.t. weights among unsatisfied consumers
-std::vector<double> weighted_maxmin(double capacity,
-                                    const std::vector<Demand>& demands);
+void weighted_maxmin(double capacity, const std::vector<Demand>& demands,
+                     std::vector<double>& alloc, MaxMinScratch& scratch);
 
 }  // namespace perfsight

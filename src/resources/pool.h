@@ -117,6 +117,11 @@ class ResourcePool : public sim::Steppable {
   double utilization_ = 0;
   double utilization_ewma_ = 0;
   std::vector<State> consumers_;
+  // Arbiter input, output and working buffers, kept across ticks so a
+  // steady-state step never allocates.
+  std::vector<Demand> demands_;
+  std::vector<double> alloc_;
+  MaxMinScratch scratch_;
 };
 
 }  // namespace perfsight

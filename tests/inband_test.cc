@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -28,6 +29,7 @@
 #include "perfsight/controller.h"
 #include "perfsight/streaming.h"
 #include "perfsight/wire.h"
+#include "support/oracles.h"
 
 namespace perfsight {
 namespace {
@@ -202,7 +204,9 @@ TEST(IntStamperTest, SingleFlightWalksTheWholeChainInOrder) {
   EXPECT_FALSE(f.dropped);
   EXPECT_GE(f.end.ns(), f.start.ns());
   std::vector<std::string> path;
-  for (const inband::Hop& h : f.hops) path.push_back(h.element.name);
+  for (const inband::Hop& h : f.hops) {
+    path.push_back(stamper.element(h.slot).name);
+  }
   EXPECT_EQ(path, (std::vector<std::string>{"pnic", "napi", "tun", "qemu-io",
                                             "vnic", "gb", "gs"}));
   for (const inband::Hop& h : f.hops) EXPECT_FALSE(h.drop_tail);
@@ -417,6 +421,169 @@ TEST(IntHybridTest, TriggerDrivesControllerScatterOverImplicatedOnly) {
   harvester.close_window(SimTime::millis(200));
   EXPECT_GT(harvester.stats().microbursts, 0u);
   EXPECT_GT(targeted_queries, 0u);
+}
+
+// --- harvester vs the map-keyed oracle ---------------------------------------
+
+// Two stampers fed the same seeded operations hand out the same tags and
+// build the same flights; one is closed by IntHarvester, the other by the
+// oracle, and every window must come out the same: cached records byte for
+// byte, microbursts, and report bytes.
+TEST(IntHarvesterDifferentialTest, MatchesMapKeyedOracleOverSeededFlights) {
+  const inband::IntStamper::Config scfg{4, 6, 64};
+  inband::IntStamper live(scfg);
+  inband::IntStamper ref(scfg);
+  std::vector<ElementId> ids;  // every distinct registered id
+  std::vector<int> slots;
+  std::vector<bool> harvest_slot;
+  auto add = [&](const std::string& name, ElementKind kind, int vm,
+                 bool harvest) {
+    const int a = live.register_element(ElementId{name}, kind, vm);
+    const int b = ref.register_element(ElementId{name}, kind, vm);
+    ASSERT_EQ(a, b);
+    for (inband::IntStamper* s : {&live, &ref}) {
+      s->enable(a, true);
+      s->set_harvest(a, harvest);
+    }
+    if (std::find(ids.begin(), ids.end(), ElementId{name}) == ids.end()) {
+      ids.push_back(ElementId{name});
+    }
+    slots.push_back(a);
+    harvest_slot.push_back(harvest);
+  };
+  add("m0/pnic", ElementKind::kPNic, -1, false);
+  add("m0/napi", ElementKind::kNapi, -1, false);
+  // Two slots share one id (registered apart, so their records must merge
+  // across non-adjacent slots), with different kind/vm: last hop wins.
+  add("m0/vm0/tun", ElementKind::kTun, 0, false);
+  add("m0/vm1/tun", ElementKind::kTun, 1, false);
+  add("m0/vm0/tun", ElementKind::kOther, 7, false);
+  add("m0/vm0/gs", ElementKind::kGuestSocket, 0, true);
+  add("m0/vm1/gs", ElementKind::kGuestSocket, 1, true);
+
+  StreamCache live_cache, ref_cache;
+  inband::IntHarvester::Config hcfg;
+  hcfg.agent = "m0/int";
+  hcfg.microburst_depth_pkts = 40;
+  hcfg.expire_after = Duration::millis(150);
+  inband::IntHarvester harvester(&live, &live_cache, hcfg);
+  std::vector<inband::IntHarvester::Microburst> live_bursts;
+  harvester.set_on_microburst(
+      [&](const inband::IntHarvester::Microburst& m) {
+        live_bursts.push_back(m);
+      });
+  oracle::IntWindowOracle oracle(&ref, &ref_cache, hcfg);
+
+  Pcg32 rng(8080);
+  SimTime now;
+  // The same operation on both stampers, which must agree on its result.
+  auto both = [&](const std::function<uint64_t(inband::IntStamper&)>& op) {
+    const uint64_t a = op(live);
+    const uint64_t b = op(ref);
+    EXPECT_EQ(a, b);
+    return a;
+  };
+  auto pick = [&](bool harvest) {
+    for (;;) {
+      size_t i = rng.next_below(static_cast<uint32_t>(slots.size()));
+      if (harvest_slot[i] == harvest) return slots[i];
+    }
+  };
+
+  for (int window = 0; window < 40; ++window) {
+    if (window == 20) {
+      // A slot registered between two windows; a new id and a third alias.
+      add("m0/vm2/tun", ElementKind::kTun, 2, false);
+      add("m0/vm1/tun", ElementKind::kVNic, 5, false);
+    }
+    const bool empty_window = window % 9 == 4;
+    const int flights = empty_window ? 0 : static_cast<int>(rng.next_below(30));
+    for (int f = 0; f < flights; ++f) {
+      now = now + Duration::micros(rng.next_below(3000));
+      for (inband::IntStamper* s : {&live, &ref}) s->set_now(now);
+      PacketBatch b = batch(1, 1 + rng.next_below(8));
+      const int ingress = pick(false);
+      const uint64_t depth0 = rng.next_below(60);
+      uint64_t tag = both([&](inband::IntStamper& s) {
+        return s.maybe_tag(ingress, b, depth0);
+      });
+      if (tag == 0) continue;
+      const uint32_t hops = rng.next_below(9);  // may exceed max_hops
+      const uint32_t fate = rng.next_below(10);
+      for (uint32_t h = 0; h < hops && tag != 0; ++h) {
+        const int slot = pick(false);
+        const uint64_t depth = rng.next_below(80);
+        const Duration io = Duration::nanos(rng.next_below(5000));
+        tag = both([&](inband::IntStamper& s) {
+          return s.arrive(slot, tag, depth, io);
+        });
+        if (fate == 0 && rng.next_below(3) == 0) {
+          // Drop-tail at the slot the flight just reached.
+          both([&](inband::IntStamper& s) {
+            s.mark_dropped(slot, tag, depth);
+            return uint64_t{0};
+          });
+          tag = 0;
+        }
+      }
+      if (tag == 0) continue;
+      const int last = pick(true);
+      const uint64_t depth = rng.next_below(80);
+      if (fate == 1) {
+        // Drop-tail at a harvest slot.
+        both([&](inband::IntStamper& s) {
+          s.mark_dropped(last, tag, depth);
+          return uint64_t{0};
+        });
+      } else if (fate != 2) {  // fate 2: an orphan, left to expire
+        EXPECT_EQ(both([&](inband::IntStamper& s) {
+                    return s.arrive(last, tag, depth);
+                  }),
+                  0u);
+      }
+    }
+    now = now + Duration::millis(100);
+    for (inband::IntStamper* s : {&live, &ref}) s->set_now(now);
+    const SimTime w = SimTime::millis(100 * window);
+    const size_t absorbed = harvester.close_window(w);
+    EXPECT_EQ(absorbed, oracle.close_window(w)) << "window " << window;
+    if (empty_window) {
+      EXPECT_EQ(absorbed, 0u) << "window " << window;
+    }
+
+    EXPECT_EQ(live_cache.window_present("m0/int", w),
+              ref_cache.window_present("m0/int", w))
+        << "window " << window;
+    for (const ElementId& id : ids) {
+      std::optional<QueryResponse> a = live_cache.find("m0/int", id, w);
+      std::optional<QueryResponse> b = ref_cache.find("m0/int", id, w);
+      ASSERT_EQ(a.has_value(), b.has_value())
+          << id.name << " window " << window;
+      if (a) {
+        EXPECT_EQ(wire::encode_frame(*a).value(),
+                  wire::encode_frame(*b).value())
+            << id.name << " window " << window;
+      }
+    }
+    EXPECT_EQ(harvester.stats().report_bytes, oracle.report_bytes)
+        << "window " << window;
+  }
+
+  ASSERT_EQ(live_bursts.size(), oracle.bursts.size());
+  for (size_t i = 0; i < live_bursts.size(); ++i) {
+    EXPECT_EQ(live_bursts[i].window_start, oracle.bursts[i].window_start);
+    EXPECT_EQ(live_bursts[i].elements, oracle.bursts[i].elements);
+    EXPECT_EQ(live_bursts[i].peak_depth_pkts,
+              oracle.bursts[i].peak_depth_pkts);
+  }
+  EXPECT_EQ(harvester.stats().microbursts, oracle.bursts.size());
+  // The run exercised what it claims to: flights of every fate, bursts.
+  const inband::IntStamper::Stats st = live.stats();
+  EXPECT_GT(st.flights_harvested, 0u);
+  EXPECT_GT(st.flights_dropped, 0u);
+  EXPECT_GT(st.flights_expired, 0u);
+  EXPECT_GT(st.hops_truncated, 0u);
+  EXPECT_FALSE(live_bursts.empty());
 }
 
 // TSan target (--gtest_filter=*Churn*): INT harvest racing agent poll

@@ -2,7 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "resources/buffer_space.h"
+
+// Every heap allocation in this test binary is counted, so a test can pin a
+// code path as allocation-free.
+namespace {
+std::atomic<uint64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace perfsight {
 namespace {
@@ -109,6 +127,31 @@ TEST(PoolTest, RatePrevTickReporting) {
   pool.request(c, 0.5);
   pool.step(t + kTick, kTick);
   EXPECT_NEAR(pool.rate_prev_tick(c), 500.0, 1e-6);  // 0.5 units / 1ms
+}
+
+// The arbiter's demand, allocation and scratch buffers live in the pool:
+// after the first step sizes them, stepping allocates nothing.
+TEST(PoolTest, SteadyStateStepDoesNotAllocate) {
+  for (PoolPolicy policy : {PoolPolicy::kMaxMin, PoolPolicy::kProportional}) {
+    ResourcePool pool("cpu", 4.0, policy);
+    std::vector<ResourcePool::ConsumerId> ids;
+    for (int i = 0; i < 12; ++i) {
+      ids.push_back(pool.add_consumer(
+          {"c" + std::to_string(i), 1.0 + i % 3, i % 4 == 0 ? 0.5 : -1.0}));
+    }
+    SimTime t;
+    pool.step(t, kTick);
+    const uint64_t before = g_allocations.load();
+    for (int tick = 0; tick < 1000; ++tick) {
+      for (size_t i = 0; i < ids.size(); ++i) {
+        pool.request(ids[i], 0.0001 * static_cast<double>((tick + i) % 7));
+      }
+      t = t + kTick;
+      pool.step(t, kTick);
+    }
+    EXPECT_EQ(g_allocations.load() - before, 0u)
+        << "policy " << static_cast<int>(policy);
+  }
 }
 
 TEST(BufferSpaceTest, NoPressureFullAllowance) {

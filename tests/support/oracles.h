@@ -9,19 +9,28 @@
 //   * WireLoopbackAgent passes every batch through the PSB1 codec, exactly
 //     as a remote controller would receive it;
 //   * reference_get_attr is GetAttr as a plain per-element loop over the
-//     test rig's own owner and mirror maps.
+//     test rig's own owner and mirror maps;
+//   * IntWindowOracle is IntHarvester::close_window aggregating into a
+//     std::map keyed by element and pricing each flight by encoding it;
+//   * reference_weighted_maxmin is the arbiter allocating its own buffers
+//     on every call.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "perfsight/agent.h"
 #include "perfsight/controller.h"
+#include "perfsight/inband.h"
+#include "perfsight/streaming.h"
 #include "perfsight/wire.h"
+#include "resources/maxmin.h"
 
 namespace perfsight::oracle {
 
@@ -115,6 +124,142 @@ inline std::vector<Result<Controller::QualifiedRecord>> reference_get_attr(
     }
   }
   return out;
+}
+
+// Closes INT windows the way IntHarvester does, by the plainest means: one
+// map per window keyed by ElementId (so slots sharing an id merge, last hop
+// wins kind/vm), each flight priced by actually encoding its kIntReport.
+class IntWindowOracle {
+ public:
+  IntWindowOracle(inband::IntStamper* stamper, StreamCache* cache,
+                  inband::IntHarvester::Config cfg)
+      : stamper_(stamper), cache_(cache), cfg_(std::move(cfg)) {}
+
+  std::vector<inband::IntHarvester::Microburst> bursts;
+  uint64_t report_bytes = 0;
+
+  size_t close_window(SimTime window_start) {
+    stamper_->expire(cfg_.expire_after);
+    std::vector<inband::Flight> flights = stamper_->take_finished();
+    struct PerElement {
+      ElementKind kind = ElementKind::kOther;
+      int vm = -1;
+      uint64_t samples = 0;
+      uint64_t peak_pkts = 0;
+      uint64_t drop_tail = 0;
+      int64_t io_ns = 0;
+    };
+    std::map<ElementId, PerElement> agg;
+    for (const inband::Flight& f : flights) {
+      wire::IntReportMsg m;
+      m.agent = cfg_.agent;
+      m.tag = f.tag;
+      m.start = f.start;
+      m.end = f.end;
+      m.dropped = f.dropped;
+      for (const inband::Hop& h : f.hops) {
+        const ElementId id = stamper_->element(h.slot);
+        m.hops.push_back(wire::IntHopWire{
+            id, h.queue_pkts, h.io_time.ns(),
+            static_cast<uint8_t>(h.drop_tail ? 1 : 0)});
+        PerElement& pe = agg[id];
+        pe.kind = h.kind;
+        pe.vm = h.vm;
+        ++pe.samples;
+        pe.peak_pkts = std::max(pe.peak_pkts, h.queue_pkts);
+        pe.io_ns += h.io_time.ns();
+        if (h.drop_tail) ++pe.drop_tail;
+      }
+      Result<std::string> enc = wire::encode_int_report(m);
+      if (enc.ok()) report_bytes += enc.value().size();
+    }
+
+    const uint64_t every = stamper_->config().sample_every;
+    inband::IntHarvester::Microburst burst;
+    burst.window_start = window_start;
+    std::vector<QueryResponse> responses;
+    for (const auto& [id, pe] : agg) {
+      QueryResponse qr;
+      qr.record.timestamp = window_start;
+      qr.record.element = id;
+      qr.record.attrs = {
+          {attr::kQueuePkts, static_cast<double>(pe.peak_pkts)},
+          {attr::kDropPkts, static_cast<double>(pe.drop_tail * every)},
+          {attr::kInTimeNs, static_cast<double>(pe.io_ns)},
+          {attr::kType, static_cast<double>(static_cast<int>(pe.kind))},
+          {attr::kVm, static_cast<double>(pe.vm)},
+          {inband::kIntSamples, static_cast<double>(pe.samples)},
+          {inband::kIntQueuePeakPkts, static_cast<double>(pe.peak_pkts)},
+          {inband::kIntIoTimeNs, static_cast<double>(pe.io_ns)},
+          {inband::kIntDropTailFlights, static_cast<double>(pe.drop_tail)},
+      };
+      qr.quality = DataQuality::kFresh;
+      qr.attempts = 1;
+      responses.push_back(std::move(qr));
+      if (cfg_.microburst_depth_pkts > 0 &&
+          pe.peak_pkts >= cfg_.microburst_depth_pkts) {
+        burst.elements.push_back(id);
+        burst.peak_depth_pkts = std::max(burst.peak_depth_pkts, pe.peak_pkts);
+      }
+    }
+    if (cache_ != nullptr && !responses.empty()) {
+      cache_->ingest(cfg_.agent, window_start,
+                     StreamCache::Provenance::kInband, std::move(responses));
+    }
+    if (!burst.elements.empty()) bursts.push_back(std::move(burst));
+    return flights.size();
+  }
+
+ private:
+  inband::IntStamper* stamper_;
+  StreamCache* cache_;
+  inband::IntHarvester::Config cfg_;
+};
+
+// weighted_maxmin with every buffer allocated per call.
+inline std::vector<double> reference_weighted_maxmin(
+    double capacity, const std::vector<Demand>& demands) {
+  const size_t n = demands.size();
+  std::vector<double> alloc(n, 0.0);
+  if (n == 0 || capacity <= 0) return alloc;
+  std::vector<double> want(n);
+  for (size_t i = 0; i < n; ++i) {
+    double w = std::max(0.0, demands[i].amount);
+    if (demands[i].cap >= 0) w = std::min(w, demands[i].cap);
+    want[i] = w;
+  }
+  std::vector<bool> done(n, false);
+  double remaining = capacity;
+  for (size_t pass = 0; pass < n; ++pass) {
+    double active_weight = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (!done[i] && want[i] > alloc[i]) {
+        active_weight += std::max(1e-12, demands[i].weight);
+      } else {
+        done[i] = true;
+      }
+    }
+    if (active_weight <= 0 || remaining <= 1e-12) break;
+    double fill = remaining / active_weight;
+    bool any_satisfied = false;
+    double given_total = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (done[i]) continue;
+      double w = std::max(1e-12, demands[i].weight);
+      double offer = fill * w;
+      double need = want[i] - alloc[i];
+      double given = std::min(offer, need);
+      alloc[i] += given;
+      given_total += given;
+      if (given >= need - 1e-12) {
+        done[i] = true;
+        any_satisfied = true;
+      }
+    }
+    remaining -= given_total;
+    if (!any_satisfied) break;
+  }
+  return alloc;
 }
 
 }  // namespace perfsight::oracle

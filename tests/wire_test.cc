@@ -8,8 +8,11 @@
 // from seeded Pcg32 draws — every run is bit-reproducible.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -862,6 +865,88 @@ TEST(IntReportCodecTest, ReservedFlagBitsAreStructuralDamage) {
   wire::IntReportMsg big = m;
   big.agent.assign(70000, 'x');
   EXPECT_FALSE(wire::encode_int_report(big).ok());
+}
+
+wire::IntReportShape shape_of(const wire::IntReportMsg& m) {
+  wire::IntReportShape s;
+  s.agent_bytes = m.agent.size();
+  s.hops = m.hops.size();
+  for (const wire::IntHopWire& h : m.hops) {
+    s.hop_name_bytes += h.element.name.size();
+    s.longest_hop_name = std::max(s.longest_hop_name, h.element.name.size());
+  }
+  return s;
+}
+
+// The closed-form size prices exactly the body the codec would build: over
+// every report the INT codec tests above draw (same seeds, same counts).
+TEST(IntReportCodecTest, ClosedFormSizeEqualsEncodedSize) {
+  for (const auto& [seed, trials] :
+       {std::pair<uint64_t, int>{2727, 100}, {929, 25}, {1717, 300}}) {
+    Pcg32 rng(seed);
+    for (int trial = 0; trial < trials; ++trial) {
+      wire::IntReportMsg m = random_int_report(rng);
+      std::optional<size_t> size = wire::int_report_size(shape_of(m));
+      ASSERT_TRUE(size.has_value()) << "seed " << seed << " trial " << trial;
+      EXPECT_EQ(*size, wire::encode_int_report(m).value().size())
+          << "seed " << seed << " trial " << trial;
+      if (seed == 1717) {
+        // Replay that test's bit-flip draws so the next report matches.
+        std::string msg = wire::encode_message(
+            wire::MessageKind::kIntReport, wire::encode_int_report(m).value());
+        rng.next_below(static_cast<uint32_t>(msg.size()));
+        rng.next_below(8);
+      }
+    }
+  }
+}
+
+// It declines exactly where the encode fails: on each side of every cap,
+// size and encode agree on success, and on success agree on the size.
+TEST(IntReportCodecTest, ClosedFormSizeDeclinesExactlyWhereEncodeFails) {
+  auto agree = [](const wire::IntReportMsg& m, bool expect_ok,
+                  const char* what) {
+    Result<std::string> enc = wire::encode_int_report(m);
+    std::optional<size_t> size = wire::int_report_size(shape_of(m));
+    EXPECT_EQ(enc.ok(), expect_ok) << what;
+    ASSERT_EQ(size.has_value(), enc.ok()) << what;
+    if (size) EXPECT_EQ(*size, enc.value().size()) << what;
+  };
+  wire::IntReportMsg base;
+  base.agent = "a0/int";
+  base.tag = 9;
+  base.hops.push_back(wire::IntHopWire{ElementId{"m0/pnic"}, 1, 2, 0});
+
+  wire::IntReportMsg m = base;
+  m.agent.assign(0xffff, 'a');
+  agree(m, true, "65535-byte agent name");
+  m.agent.assign(0x10000, 'a');
+  agree(m, false, "65536-byte agent name");
+
+  m = base;
+  m.hops[0].element = ElementId{std::string(0xffff, 'e')};
+  agree(m, true, "65535-byte element name");
+  m.hops[0].element = ElementId{std::string(0x10000, 'e')};
+  agree(m, false, "65536-byte element name");
+
+  m = base;
+  m.hops.assign(0xffff, wire::IntHopWire{ElementId{"e"}, 1, 2, 0});
+  agree(m, true, "65535 hops");
+  m.hops.push_back(wire::IntHopWire{ElementId{"e"}, 1, 2, 0});
+  agree(m, false, "65536 hops");
+
+  // A body of exactly kMaxPayload bytes encodes; one byte more does not.
+  // 256 hops of 65500-byte names, with the agent name taking up the rest.
+  m = base;
+  m.agent.clear();
+  m.hops.assign(256, wire::IntHopWire{ElementId{std::string(65500, 'n')}, 1,
+                                      2, 0});
+  const size_t without_agent = wire::encode_int_report(m).value().size();
+  ASSERT_LT(without_agent, wire::kMaxPayload);
+  m.agent.assign(wire::kMaxPayload - without_agent, 'a');
+  agree(m, true, "body of exactly kMaxPayload");
+  m.agent.push_back('a');
+  agree(m, false, "body one byte past kMaxPayload");
 }
 
 TEST(StreamCodecTest, PeekPinsSeqAgentWindowAndCount) {
