@@ -7,7 +7,9 @@
 // the in-process agent's own answers, and one 64-element batch must beat 64
 // single-element round trips by a wide margin (the length-chained framing
 // amortises the per-trip syscall + poll cost exactly like the controller's
-// batching amortises modelled channel time).
+// batching amortises modelled channel time).  A 256-wide unix row, on an
+// agent of its own, is the per-element cost of one fleet-sized reply
+// (reported, not gated).
 //
 // A last pair of figures measures the push path on a unix socket: how long a
 // request_publish() takes to reach a subscriber as a kStreamData frame, and
@@ -38,6 +40,7 @@ using namespace perfsight::bench;
 namespace {
 
 constexpr size_t kElements = 64;
+constexpr size_t kWideBatch = 256;  // one fleet_pull agent's batch
 constexpr int kSweeps = 400;
 constexpr int kPublishTrips = 50;
 
@@ -154,6 +157,29 @@ int main() {
     }
   }
 
+  // A fleet-sized batch: kWideBatch elements per trip over a unix socket,
+  // served by an agent of its own so the figures above keep their inputs.
+  Agent wide("bench-wide", 2);
+  std::vector<ElementId> wide_ids;
+  for (size_t e = 0; e < kWideBatch; ++e) {
+    sources.push_back(std::make_unique<ConstSource>(
+        ElementId{"host/eth" + std::to_string(e)}, e));
+    PS_CHECK(wide.add_element(sources.back().get()).is_ok());
+    wide_ids.push_back(sources.back()->id());
+  }
+  double unix_batch256_elem_us = 0;
+  {
+    RemoteAgentServer server(
+        &wide, transport::Endpoint::unix_path(unix_path + ".wide"));
+    PS_CHECK(server.start().is_ok());
+    RemoteAgent remote(server.endpoint());
+    PS_CHECK(remote.connect().is_ok());
+    const double s = sweep_seconds(remote, wide_ids);
+    unix_batch256_elem_us = s * 1e6 / kSweeps / kWideBatch;
+    row({"unix", fmt("%.0f", static_cast<double>(kWideBatch)),
+         fmt("%.1f", s * 1e6 / kSweeps), fmt("%.2f", unix_batch256_elem_us)});
+  }
+
   // 64 elements per trip vs 64 trips of 1: the batch pays one syscall+poll
   // chain for the sweep, the singles pay it per element.
   const double amortisation = (tcp_single_s * 64.0) / tcp_batch64_s;
@@ -194,6 +220,7 @@ int main() {
   report.gate("oracle_record_bytes", static_cast<double>(oracle.size()));
   report.info("tcp_amortisation_64", amortisation);
   report.info("tcp_batch64_sweep_us", tcp_batch64_s * 1e6 / kSweeps);
+  report.info("unix_batch256_elem_us", unix_batch256_elem_us);
   report.info("unix_publish_to_frame_us_p50", publish_p50);
   report.info("unix_publish_to_frame_us_p99", publish_p99);
   report.info("idle_stop_us", idle_stop_us);

@@ -367,7 +367,7 @@ Result<QueryResponse> AgentClient::query_attrs(
   if (r.quality == DataQuality::kMissing) {
     return query_failure_status(name(), id, r.attempts, r.fail_code);
   }
-  r.record = project(r.record, attrs);
+  r.record = project(std::move(r.record), attrs);
   return r;
 }
 

@@ -1,6 +1,7 @@
 #include "perfsight/controller.h"
 
 #include <algorithm>
+#include <tuple>
 #include <unordered_set>
 
 #include "perfsight/trace.h"
@@ -189,13 +190,41 @@ std::vector<Result<Controller::QualifiedRecord>> Controller::scatter_gather(
       ids.size(),
       Result<QualifiedRecord>(Status::unavailable("unresolved scatter slot")));
 
-  // Group the ids by owning agent.  Groups keep first-appearance order;
-  // each group's id list is sorted and deduplicated (query_batch answers in
-  // ascending id order), with every input slot the id must fill remembered.
+  // Group the ids by owning agent, groups in first-appearance order.  A
+  // group collects (id, input slot) entries and sorts them once by (id,
+  // slot) before its fan-out: the unique ids become its ascending request
+  // (query_batch answers in that order), and each id's slots one run of
+  // entries.  Entries point at ids that outlive the sweep: the caller's
+  // list, or a primary group's sorted_ids for the replica round.
   struct Group {
     AgentClient* agent = nullptr;
-    std::unordered_map<ElementId, std::vector<size_t>> slots;
+    std::vector<std::pair<const ElementId*, size_t>> entries;
     std::vector<ElementId> sorted_ids;
+    std::vector<size_t> runs;  // sorted_ids[k] fills entries[runs[k], runs[k+1])
+
+    void index() {
+      std::sort(entries.begin(), entries.end(),
+                [](const auto& a, const auto& b) {
+                  return std::tie(*a.first, a.second) <
+                         std::tie(*b.first, b.second);
+                });
+      for (size_t j = 0; j < entries.size(); ++j) {
+        if (j == 0 || !(*entries[j].first == sorted_ids.back())) {
+          sorted_ids.push_back(*entries[j].first);
+          runs.push_back(j);
+        }
+      }
+      runs.push_back(entries.size());
+    }
+    // Writes `v` into every slot of sorted_ids[k], moving it into the last;
+    // returns how many slots that was.
+    size_t fill(size_t k, std::vector<Result<QualifiedRecord>>& out,
+                Result<QualifiedRecord> v) const {
+      const size_t last = runs[k + 1] - 1;
+      for (size_t j = runs[k]; j < last; ++j) out[entries[j].second] = v;
+      out[entries[last].second] = std::move(v);
+      return runs[k + 1] - runs[k];
+    }
   };
   struct Round {
     std::vector<Group> groups;
@@ -206,7 +235,7 @@ std::vector<Result<Controller::QualifiedRecord>> Controller::scatter_gather(
         groups.emplace_back();
         groups.back().agent = agent;
       }
-      groups[it->second].slots[id].push_back(slot);
+      groups[it->second].entries.emplace_back(&id, slot);
     }
   };
   Round primary;
@@ -238,11 +267,7 @@ std::vector<Result<Controller::QualifiedRecord>> Controller::scatter_gather(
   // pool can deadlock, and the per-agent batch is already one channel
   // round trip per kind — the win is agent-level parallelism.
   auto fan_out = [&](std::vector<Group>& groups) {
-    for (Group& g : groups) {
-      g.sorted_ids.reserve(g.slots.size());
-      for (const auto& [id, slots] : g.slots) g.sorted_ids.push_back(id);
-      std::sort(g.sorted_ids.begin(), g.sorted_ids.end());
-    }
+    for (Group& g : groups) g.index();
     std::vector<BatchResponse> br(groups.size());
     parallel_for_or_inline(pool, groups.size(), [&](size_t gi) {
       ScopedTraceContext span_ctx(scatter_ctx);
@@ -251,11 +276,12 @@ std::vector<Result<Controller::QualifiedRecord>> Controller::scatter_gather(
     return br;
   };
   const std::vector<Group>& groups = primary.groups;
-  const std::vector<BatchResponse> br = fan_out(primary.groups);
+  std::vector<BatchResponse> br = fan_out(primary.groups);
 
   // Gather: merge per-agent responses back into input slots, sequentially,
-  // in group order.  Response lists are ascending by element id; ids absent
-  // from a list were unknown to the agent and surface as not_found.
+  // in group order, moving each record into its projection.  Response lists
+  // are ascending by element id; ids absent from a list were unknown to the
+  // agent and surface as not_found.
   uint64_t ok_slots = 0;
   size_t served = 0;
   Duration total_channel;
@@ -265,38 +291,38 @@ std::vector<Result<Controller::QualifiedRecord>> Controller::scatter_gather(
   Round replica;
   for (size_t gi = 0; gi < groups.size(); ++gi) {
     const Group& g = groups[gi];
-    const std::vector<QueryResponse>& resp = br[gi].responses;
+    std::vector<QueryResponse>& resp = br[gi].responses;
     total_channel = total_channel + br[gi].channel_time;
     size_t ri = 0;
-    for (const ElementId& id : g.sorted_ids) {
+    for (size_t k = 0; k < g.sorted_ids.size(); ++k) {
+      const ElementId& id = g.sorted_ids[k];
       while (ri < resp.size() && resp[ri].record.element < id) ++ri;
-      const std::vector<size_t>& slots = g.slots.at(id);
       if (ri >= resp.size() || !(resp[ri].record.element == id)) {
-        Status miss = Status::not_found("agent " + g.agent->name() +
-                                        ": no element " + id.name);
-        for (size_t s : slots) out[s] = miss;
+        g.fill(k, out,
+               Status::not_found("agent " + g.agent->name() +
+                                 ": no element " + id.name));
         continue;
       }
-      const QueryResponse& r = resp[ri];
+      QueryResponse& r = resp[ri];
       ++ri;
       if (r.quality == DataQuality::kMissing) {
         // Retries exhausted / budget hit / breaker open / departed: the
         // failure's Status stays the answer unless a replica can serve the
         // element below.
-        Status fail =
-            query_failure_status(g.agent->name(), id, r.attempts, r.fail_code);
-        for (size_t s : slots) out[s] = fail;
+        g.fill(k, out,
+               query_failure_status(g.agent->name(), id, r.attempts,
+                                    r.fail_code));
         AgentClient* mirror = mirror_.empty() ? nullptr : mirror_of(tenant, id);
         if (mirror != nullptr) {
-          for (size_t s : slots) replica.add(mirror, id, s);
+          for (size_t j = g.runs[k]; j < g.runs[k + 1]; ++j) {
+            replica.add(mirror, id, g.entries[j].second);
+          }
         }
         continue;
       }
-      QualifiedRecord q{project(r.record, attrs), r.quality};
-      for (size_t s : slots) {
-        out[s] = q;
-        ++ok_slots;
-      }
+      ok_slots += g.fill(
+          k, out,
+          QualifiedRecord{project(std::move(r.record), attrs), r.quality});
       ++served;
     }
   }
@@ -307,24 +333,23 @@ std::vector<Result<Controller::QualifiedRecord>> Controller::scatter_gather(
   // leaves the primary's Status in place (byte-identical to no mirror).
   const std::vector<Group>& mgroups = replica.groups;
   if (!mgroups.empty()) {
-    const std::vector<BatchResponse> mbr = fan_out(replica.groups);
+    std::vector<BatchResponse> mbr = fan_out(replica.groups);
     for (size_t gi = 0; gi < mgroups.size(); ++gi) {
       const Group& g = mgroups[gi];
-      const std::vector<QueryResponse>& resp = mbr[gi].responses;
+      std::vector<QueryResponse>& resp = mbr[gi].responses;
       total_channel = total_channel + mbr[gi].channel_time;
       size_t ri = 0;
-      for (const ElementId& id : g.sorted_ids) {
+      for (size_t k = 0; k < g.sorted_ids.size(); ++k) {
+        const ElementId& id = g.sorted_ids[k];
         while (ri < resp.size() && resp[ri].record.element < id) ++ri;
         if (ri >= resp.size() || !(resp[ri].record.element == id)) continue;
-        const QueryResponse& r = resp[ri];
+        QueryResponse& r = resp[ri];
         ++ri;
         if (r.quality == DataQuality::kMissing) continue;
-        QualifiedRecord q{project(r.record, attrs),
-                          worse(DataQuality::kReplica, r.quality)};
-        for (size_t s : g.slots.at(id)) {
-          out[s] = q;
-          ++ok_slots;
-        }
+        ok_slots += g.fill(
+            k, out,
+            QualifiedRecord{project(std::move(r.record), attrs),
+                            worse(DataQuality::kReplica, r.quality)});
         ++served;
       }
     }

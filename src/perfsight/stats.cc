@@ -38,11 +38,10 @@ std::string to_wire(const StatsRecord& r) {
   return out;
 }
 
-StatsRecord project(const StatsRecord& r,
-                    const std::vector<std::string>& names) {
+StatsRecord project(StatsRecord r, const std::vector<std::string>& names) {
   StatsRecord out;
   out.timestamp = r.timestamp;
-  out.element = r.element;
+  out.element = std::move(r.element);
   for (const std::string& n : names) {
     if (auto v = r.get(n)) out.attrs.push_back(Attr{n, *v});
   }

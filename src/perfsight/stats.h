@@ -81,7 +81,8 @@ struct StatsRecord {
 std::string to_wire(const StatsRecord& r);
 
 // Projects `names` out of `r` in order; missing attributes are skipped
-// (the paper's GetAttr returns only attributes the element has).
-StatsRecord project(const StatsRecord& r, const std::vector<std::string>& names);
+// (the paper's GetAttr returns only attributes the element has).  Takes `r`
+// by value so a caller done with the record moves it in.
+StatsRecord project(StatsRecord r, const std::vector<std::string>& names);
 
 }  // namespace perfsight

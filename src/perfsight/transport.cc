@@ -5,6 +5,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -27,30 +28,40 @@ int64_t span_clock_ns() {
 
 namespace {
 
-// Remaining milliseconds until `until`, clamped to >= 0 for poll().
+// Remaining milliseconds until `until`, rounded up and clamped to >= 0 for
+// poll(): a truncated timeout would wake up to 1 ms before the deadline.
 // time_point::max() is the "no deadline" sentinel (the subtraction would
 // overflow); it polls in hour-long slices.
 int remaining_ms(Clock::time_point until) {
-  if (until == Clock::time_point::max()) return 1000 * 60 * 60;
-  auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-      until - Clock::now());
-  if (left.count() <= 0) return 0;
-  if (left.count() > 1000 * 60 * 60) return 1000 * 60 * 60;
-  return static_cast<int>(left.count());
+  constexpr int kSliceMs = 1000 * 60 * 60;
+  if (until == Clock::time_point::max()) return kSliceMs;
+  const int64_t left =
+      std::chrono::ceil<std::chrono::milliseconds>(until - Clock::now())
+          .count();
+  return static_cast<int>(std::clamp<int64_t>(left, 0, kSliceMs));
 }
 
-// Waits until fd is ready for `events`; false on timeout.  EINTR retries
-// against the same absolute deadline.
+// Waits until fd is ready for `events`; false once the deadline has passed.
+// EINTR and a timeout that fires before `until` retry against the same
+// absolute deadline, so the wait never ends early.
 bool poll_until(int fd, short events, Clock::time_point until) {
   for (;;) {
     pollfd p{fd, events, 0};
-    int ms = remaining_ms(until);
-    int rc = ::poll(&p, 1, ms);
+    int rc = ::poll(&p, 1, remaining_ms(until));
     if (rc > 0) return true;
-    if (rc == 0) return false;
+    if (rc == 0) {
+      if (Clock::now() >= until) return false;
+      continue;
+    }
     if (errno != EINTR) return false;
   }
 }
+
+// The most one recv reads when the kernel holds more than a call owes: a
+// whole fleet batch reply fits, so its frames are then served from
+// held-back bytes, and a peer flooding the socket cannot grow the buffer
+// without bound.
+constexpr size_t kReadAhead = 64 * 1024;
 
 void set_fd_nonblocking(int fd, bool on) {
   int flags = ::fcntl(fd, F_GETFL, 0);
@@ -167,11 +178,20 @@ std::string Endpoint::to_string() const {
 
 // --- Socket ------------------------------------------------------------------
 
+Socket::Socket(Socket&& o) noexcept
+    : fd_(o.fd_), held_(std::move(o.held_)), held_at_(o.held_at_) {
+  o.fd_ = -1;
+  o.drop_held();
+}
+
 Socket& Socket::operator=(Socket&& o) noexcept {
   if (this != &o) {
     close();
     fd_ = o.fd_;
+    held_ = std::move(o.held_);
+    held_at_ = o.held_at_;
     o.fd_ = -1;
+    o.drop_held();
   }
   return *this;
 }
@@ -181,6 +201,21 @@ void Socket::close() {
     ::close(fd_);
     fd_ = -1;
   }
+  drop_held();
+}
+
+size_t Socket::take_held(size_t n, std::string* out) {
+  const size_t k = std::min(n, held_bytes());
+  if (k == 0) return 0;
+  out->append(held_, held_at_, k);
+  held_at_ += k;
+  if (held_at_ == held_.size()) drop_held();
+  return k;
+}
+
+void Socket::drop_held() {
+  std::string().swap(held_);  // a drained reply gives its storage back
+  held_at_ = 0;
 }
 
 void Socket::set_nonblocking(bool on) {
@@ -232,35 +267,67 @@ Status Socket::recv_exact(size_t n, std::string* out, WallDuration deadline) {
 
 Status Socket::recv_exact_until(size_t n, std::string* out,
                                 Clock::time_point until) {
+  const size_t base = out->size();
+  Status st = recv_at_least_until(n, out, until);
+  if (st.is_ok()) hold_back(base + n, out);
+  return st;
+}
+
+Status Socket::recv_at_least_until(size_t n, std::string* out,
+                                   Clock::time_point until) {
   if (fd_ < 0) return Status::unavailable("transport: recv on closed socket");
-  size_t got = 0;
-  char buf[4096];
+  const size_t base = out->size();
+  size_t got = take_held(n, out);
   while (got < n) {
-    if (!poll_until(fd_, POLLIN, until)) {
-      return Status::deadline_exceeded("transport: read deadline after " +
-                                       std::to_string(got) + "/" +
-                                       std::to_string(n) + " bytes");
-    }
-    size_t want = std::min(n - got, sizeof(buf));
-    ssize_t r = ::recv(fd_, buf, want, 0);
+    // Straight into the caller's buffer: what is still owed, or everything
+    // the kernel has queued when that is more (up to kReadAhead), so a
+    // reply takes a few recvs rather than two per frame and the buffer
+    // grows only by what arrived.  MSG_DONTWAIT keeps a blocking socket
+    // from parking us in the kernel past the deadline; only EAGAIN polls.
+    int queued = 0;
+    if (::ioctl(fd_, FIONREAD, &queued) < 0) queued = 0;
+    const size_t room = std::max(
+        n - got, std::min(static_cast<size_t>(std::max(queued, 0)), kReadAhead));
+    if (out->size() < base + got + room) out->resize(base + got + room);
+    ssize_t r = ::recv(fd_, out->data() + base + got, room, MSG_DONTWAIT);
     if (r > 0) {
-      out->append(buf, static_cast<size_t>(r));
       got += static_cast<size_t>(r);
       continue;
     }
-    if (r == 0) {
-      return Status::unavailable("transport: peer closed after " +
-                                 std::to_string(got) + "/" +
-                                 std::to_string(n) + " bytes");
+    if (r < 0 && errno == EINTR) continue;
+    Status st = Status::ok();
+    if (r < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
+      st = errno_status("transport: recv");
+    } else if (r < 0) {
+      if (poll_until(fd_, POLLIN, until)) continue;
+      st = Status::deadline_exceeded("transport: read deadline after " +
+                                     std::to_string(got) + "/" +
+                                     std::to_string(n) + " bytes");
+    } else {
+      st = Status::unavailable("transport: peer closed after " +
+                               std::to_string(got) + "/" +
+                               std::to_string(n) + " bytes");
     }
-    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-    return errno_status("transport: recv");
+    out->resize(base + got);
+    return st;
   }
+  out->resize(base + got);
   return Status::ok();
+}
+
+void Socket::hold_back(size_t from, std::string* out) {
+  if (out->size() <= from) return;
+  // Surplus only comes off the fd, which is read once the held-back bytes
+  // are drained, so there is nothing held to keep in front of it.
+  PS_CHECK(held_bytes() == 0);
+  held_.assign(*out, from);
+  held_at_ = 0;
+  out->resize(from);
 }
 
 Result<size_t> Socket::read_some(std::string* out) {
   if (fd_ < 0) return Status::unavailable("transport: recv on closed socket");
+  if (held_bytes() > 0) return take_held(held_bytes(), out);
   char buf[65536];
   for (;;) {
     ssize_t r = ::recv(fd_, buf, sizeof(buf), 0);
@@ -414,37 +481,46 @@ Result<Socket> connect(const Endpoint& ep, WallDuration deadline) {
 
 BatchReadResult read_batch(Socket& s, WallDuration deadline) {
   BatchReadResult out;
+  std::string& bytes = out.bytes;
   // ONE absolute deadline for the whole length-chain walk.  Passing the
   // relative `deadline` to every recv would restart the budget per step — a
   // peer trickling a frame at a time could then hold the reader for
   // frames × deadline instead of one.
   const Clock::time_point until = Clock::now() + deadline;
+  // The walk runs over `bytes` in place: each step reads only when the
+  // chain needs bytes that have not arrived yet, and whatever arrived with
+  // them stays where it landed.
+  auto need = [&](size_t total) {
+    return bytes.size() >= total
+               ? Status::ok()
+               : s.recv_at_least_until(total - bytes.size(), &bytes, until);
+  };
 
   // Header first: it carries the frame count the length chain hangs off.
-  Status st = s.recv_exact_until(wire::kBatchHeaderSize, &out.bytes, until);
+  size_t end = wire::kBatchHeaderSize;
+  Status st = need(end);
   if (!st.is_ok()) {
     out.status = st;
     return out;
   }
   size_t at = 0;
   uint32_t magic = 0, count = 0;
-  if (!wire::get_u32(out.bytes, at, &magic) || magic != wire::kMagic ||
-      !wire::get_u32(out.bytes, at, &count)) {
+  if (!wire::get_u32(bytes, at, &magic) || magic != wire::kMagic ||
+      !wire::get_u32(bytes, at, &count)) {
     out.status = Status::invalid_argument("transport: stream is not a PSB1 batch");
     return out;
   }
 
   for (uint32_t i = 0; i < count; ++i) {
     // Frame prefix: payload_len + checksum.
-    size_t frame_start = out.bytes.size();
-    st = s.recv_exact_until(wire::kFramePrefixSize, &out.bytes, until);
+    st = need(end + wire::kFramePrefixSize);
     if (!st.is_ok()) {
       out.status = st;
       return out;
     }
-    size_t fat = frame_start;
+    size_t fat = end;
     uint32_t payload_len = 0;
-    wire::get_u32(out.bytes, fat, &payload_len);
+    wire::get_u32(bytes, fat, &payload_len);
     if (payload_len > wire::kMaxPayload) {
       // The chain is lying; anything further would be read at a wrong
       // offset.  Stop and let decode_batch/reconcile mark the loss.
@@ -453,17 +529,21 @@ BatchReadResult read_batch(Socket& s, WallDuration deadline) {
           " exceeds cap; stream corrupt");
       return out;
     }
-    st = s.recv_exact_until(payload_len, &out.bytes, until);
+    end += wire::kFramePrefixSize + payload_len;
+    st = need(end);
     if (!st.is_ok()) {
       out.status = st;
       return out;
     }
   }
+  // Whatever arrived behind the batch is the next read's.
+  s.hold_back(end, &bytes);
   return out;
 }
 
 bool wait_readable(const Socket& s, WallDuration deadline) {
   if (s.fd() < 0) return false;
+  if (s.held_bytes() > 0) return true;
   return poll_until(s.fd(), POLLIN, Clock::now() + deadline);
 }
 

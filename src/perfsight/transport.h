@@ -22,6 +22,18 @@
 //     frame-count, per-frame payload_len) with the bounds-checked wire::get_*
 //     primitives, so a corrupted length prefix caps out at kMaxPayload and
 //     never makes the reader trust a multi-gigabyte allocation.
+//   - One read per reply, not per frame.  A Socket reads straight into the
+//     caller's buffer for everything the kernel has queued (at most 64 KiB
+//     unless the call owes more), so a whole batch reply costs a few recvs
+//     rather than two per frame.  Bytes past what the call asked for are
+//     HELD BACK in the Socket: the next recv_exact / read_some / read_batch
+//     / read_message_bytes on it serves them first, in stream order, before
+//     touching the fd (in practice: the trace-data message piggybacked
+//     behind a traced batch, the body behind a message prefix, or the next
+//     pushed stream frame).  Held-back bytes live and die with the
+//     connection: a move carries them to the new owner, and close() (hence
+//     every reconnect) drops them, so a fresh connection never sees a stale
+//     byte.  wait_readable counts them as readable.
 //
 // Everything here is wall-clock and OS-level; simulated time never enters —
 // it travels *inside* the request messages (BatchRequestMsg::now).
@@ -62,13 +74,15 @@ struct Endpoint {
   std::string to_string() const;
 };
 
+struct BatchReadResult;
+
 // A connected stream socket.  Move-only RAII over the fd.
 class Socket {
  public:
   Socket() = default;
   explicit Socket(int fd) : fd_(fd) {}
   ~Socket() { close(); }
-  Socket(Socket&& o) noexcept : fd_(o.fd_) { o.fd_ = -1; }
+  Socket(Socket&& o) noexcept;
   Socket& operator=(Socket&& o) noexcept;
   Socket(const Socket&) = delete;
   Socket& operator=(const Socket&) = delete;
@@ -90,8 +104,10 @@ class Socket {
   Status send_all(std::string_view bytes, WallDuration deadline);
   Status send_all_until(std::string_view bytes, Clock::time_point until);
 
-  // Reads exactly `n` bytes into `*out` (appended), polling until the
-  // deadline.  On failure `*out` still holds every byte that arrived —
+  // Reads exactly `n` bytes into `*out` (appended): held-back bytes first,
+  // then the fd, polling only when it has nothing queued, until the
+  // deadline.  Anything read past `n` is held back for the next read.  On
+  // failure `*out` still holds every byte that arrived —
   // partial data is the caller's to reconcile:
   //   kDeadlineExceeded — the deadline expired mid-read
   //   kUnavailable      — peer closed (EOF) or socket error
@@ -100,10 +116,11 @@ class Socket {
   Status recv_exact(size_t n, std::string* out, WallDuration deadline);
   Status recv_exact_until(size_t n, std::string* out, Clock::time_point until);
 
-  // Nonblocking single read: appends whatever is available (at most one
-  // 64 KiB chunk) to `*out` and returns the byte count — 0 with ok() means
-  // nothing is pending (EAGAIN).  kUnavailable on EOF or socket error.
-  // Event-loop reads only; the socket must be nonblocking.
+  // Nonblocking single read: appends whatever is available to `*out` and
+  // returns the byte count — the held-back bytes if there are any (the fd
+  // is not read then), else at most one 64 KiB chunk off the fd.  0 with
+  // ok() means nothing is pending (EAGAIN).  kUnavailable on EOF or socket
+  // error.  Event-loop reads only; the socket must be nonblocking.
   Result<size_t> read_some(std::string* out);
 
   // Nonblocking single write: sends what fits in the socket buffer and
@@ -111,8 +128,26 @@ class Socket {
   // kUnavailable on a dead peer.  Event-loop writes only.
   Result<size_t> write_some(std::string_view bytes);
 
+  // Bytes received off the fd but not yet handed to a reader.
+  size_t held_bytes() const { return held_.size() - held_at_; }
+
  private:
+  friend BatchReadResult read_batch(Socket& s, WallDuration deadline);
+
+  // recv_exact_until without the trim: appends at least `n` bytes (more when
+  // more was queued), with the same deadline and failure contract.
+  Status recv_at_least_until(size_t n, std::string* out,
+                             Clock::time_point until);
+  // Holds back (*out)[from, size()) for the next read and trims *out to
+  // `from`.
+  void hold_back(size_t from, std::string* out);
+  // Moves up to `n` held-back bytes onto `*out`; returns how many.
+  size_t take_held(size_t n, std::string* out);
+  void drop_held();
+
   int fd_ = -1;
+  std::string held_;     // held-back bytes are held_[held_at_, size())
+  size_t held_at_ = 0;
 };
 
 // A bound, listening socket.
@@ -164,7 +199,10 @@ struct BatchReadResult {
 // peer trickling one frame at a time costs at most one deadline of wall
 // clock, never frames × deadline.  A length prefix exceeding
 // wire::kMaxPayload stops the read (corrupt stream); the bytes so far are
-// returned for reconciliation.
+// returned for reconciliation.  The walk runs over the result buffer in
+// place — frames are never copied out of held-back bytes one by one — and
+// bytes that arrived behind the batch are held back in `s` for the next
+// read.
 BatchReadResult read_batch(Socket& s, WallDuration deadline);
 
 // Reads one PSM1 control message (17-byte prefix, then body), returning its

@@ -133,17 +133,38 @@ bool get_record_header(std::string_view bytes, size_t& at, QueryResponse* r) {
 
 // PSB1 payload := header | u16 attr_count | { u16-str name | u64 bits }*
 constexpr size_t kMinPsb1AttrSize = 2 + 8;
+// A frame with an empty element name and no attrs.
+constexpr size_t kMinFrameSize = kFramePrefixSize + kMinRecordHeaderSize + 2;
 
-// Builds the payload of an already-validated response.
-std::string encode_payload(const QueryResponse& r) {
-  std::string p;
-  put_record_header(p, r);
-  put<uint16_t>(p, static_cast<uint16_t>(r.record.attrs.size()));
+// Appends `r` as one frame to `out`, in place: the prefix is reserved, the
+// payload written behind it, then its length and checksum are back-patched.
+// The one PSB1 encoder — encode_frame is its batch of one.  On failure
+// `out` is left as it was.
+Status append_frame(std::string& out, const QueryResponse& r) {
+  Status st = check_encodable(r, 0xffff, "wire");
+  if (!st.is_ok()) return st;
+  const size_t start = out.size();
+  out.append(kFramePrefixSize, '\0');
+  put_record_header(out, r);
+  put<uint16_t>(out, static_cast<uint16_t>(r.record.attrs.size()));
   for (const Attr& a : r.record.attrs) {
-    put_string(p, a.name);
-    put(p, double_bits(a.value));
+    put_string(out, a.name);
+    put(out, double_bits(a.value));
   }
-  return p;
+  const size_t len = out.size() - start - kFramePrefixSize;
+  if (len > kMaxPayload) {
+    out.resize(start);
+    return Status::invalid_argument(
+        "wire: frame payload for element " + r.record.element.name + " is " +
+        std::to_string(len) + " bytes (cap " + std::to_string(kMaxPayload) +
+        ")");
+  }
+  const uint32_t len32 = static_cast<uint32_t>(len);
+  const uint64_t sum =
+      fnv1a64(std::string_view(out).substr(start + kFramePrefixSize));
+  std::memcpy(out.data() + start, &len32, sizeof(len32));
+  std::memcpy(out.data() + start + sizeof(len32), &sum, sizeof(sum));
+  return Status::ok();
 }
 
 // Decodes one payload; false on structural damage (a verified checksum
@@ -214,20 +235,9 @@ bool get_u64(std::string_view bytes, size_t& at, uint64_t* v) {
 }
 
 Result<std::string> encode_frame(const QueryResponse& r) {
-  Status st = check_encodable(r, 0xffff, "wire");
-  if (!st.is_ok()) return st;
-  std::string payload = encode_payload(r);
-  if (payload.size() > kMaxPayload) {
-    return Status::invalid_argument(
-        "wire: frame payload for element " + r.record.element.name + " is " +
-        std::to_string(payload.size()) + " bytes (cap " +
-        std::to_string(kMaxPayload) + ")");
-  }
   std::string out;
-  out.reserve(kFramePrefixSize + payload.size());
-  put<uint32_t>(out, static_cast<uint32_t>(payload.size()));
-  put<uint64_t>(out, fnv1a64(payload));
-  out += payload;
+  Status st = append_frame(out, r);
+  if (!st.is_ok()) return st;
   return out;
 }
 
@@ -240,10 +250,13 @@ Result<std::string> encode_batch(const BatchResponse& b) {
   put<uint32_t>(out, static_cast<uint32_t>(b.responses.size()));
   put<uint64_t>(out, static_cast<uint64_t>(b.channel_time.ns()));
   put<uint32_t>(out, static_cast<uint32_t>(b.unknown_ids));
-  for (const QueryResponse& r : b.responses) {
-    Result<std::string> frame = encode_frame(r);
-    if (!frame.ok()) return frame.status();
-    out += frame.value();
+  for (size_t i = 0; i < b.responses.size(); ++i) {
+    Status st = append_frame(out, b.responses[i]);
+    if (!st.is_ok()) return st;
+    // Size the buffer once, off the first frame: a batch's records are
+    // alike, so the rest rarely regrow it.
+    if (i == 0) out.reserve(kBatchHeaderSize + (out.size() - kBatchHeaderSize) *
+                                                   b.responses.size());
   }
   return out;
 }
@@ -295,6 +308,10 @@ Result<BatchResponse> decode_batch(std::string_view bytes,
   BatchResponse out;
   out.channel_time = Duration::nanos(static_cast<int64_t>(channel_ns));
   out.unknown_ids = unknown;
+  // No more frames than the bytes can hold: a corrupt count must not size
+  // the reservation.
+  out.responses.reserve(
+      std::min<size_t>(count, (bytes.size() - at) / kMinFrameSize));
   for (uint32_t i = 0; i < count; ++i) {
     size_t consumed = 0;
     Result<QueryResponse> r = decode_frame(bytes.substr(at), &consumed);

@@ -80,8 +80,10 @@ bool get_u64(std::string_view bytes, size_t& at, uint64_t* v);
 // attrs, or the payload would exceed kMaxPayload — a successful encode is
 // guaranteed to decode back byte-identical.
 Result<std::string> encode_frame(const QueryResponse& r);
-// Header plus one frame per response, in the batch's (element-id) order.
-// Fails if any response is unencodable; never emits a shrunken batch.
+// Header plus one frame per response, in the batch's (element-id) order,
+// each frame written in place in the one output buffer: byte for byte the
+// header followed by encode_frame of every response.  Fails if any response
+// is unencodable (with encode_frame's Status); never emits a shrunken batch.
 Result<std::string> encode_batch(const BatchResponse& b);
 
 // What the decoder saw, beyond the records themselves.

@@ -7,12 +7,14 @@
 // target for the shared pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/threadpool.h"
 #include "perfsight/agent.h"
 #include "perfsight/alert.h"
@@ -527,6 +529,160 @@ TEST(ScatterChurnTest, ConcurrentScatterPollAndAlertEvaluation) {
   EXPECT_GT(cost.queries, 0u);
   EXPECT_GT(cost.channel_time.ns(), 0);
   EXPECT_FALSE(watcher.history().empty());
+}
+
+// --- duplicate and unsorted ids through the scatter-merge --------------------
+
+// Four agents of six elements.  The even elements of agent a are mirrored on
+// agent (a + 1) % 4, and agent-1 is down from 100 ms on: at the query time
+// every agent-1 primary comes back kMissing, its even elements answered by
+// agent-2 as replicas and its odd ones left as blind spots.  Each world is
+// built from scratch, so the reference loop and the scatter never share
+// agent state.
+class MirrorWorld {
+ public:
+  static constexpr size_t kAgents = 4;
+  static constexpr size_t kPerAgent = 6;
+
+  explicit MirrorWorld(Clients clients)
+      : controller_([this](Duration d) { return now_ = now_ + d; },
+                    [this] { return now_; }) {
+    plan_.schedule_rolling_upgrade({"agent-1"}, SimTime::millis(100),
+                                   Duration::seconds(10));
+    RetryPolicy retry;
+    retry.max_attempts = 2;
+    CircuitBreakerConfig no_breaker;
+    no_breaker.failure_threshold = 1u << 30;
+    std::vector<AgentClient*> clients_of;
+    for (size_t a = 0; a < kAgents; ++a) {
+      agents_.push_back(
+          std::make_unique<Agent>("agent-" + std::to_string(a), a + 1));
+      agents_.back()->set_fault_plan(&plan_);
+      agents_.back()->set_retry_policy(retry);
+      agents_.back()->set_breaker_config(no_breaker);
+      AgentClient* client = agents_.back().get();
+      if (clients == Clients::kWireLoopback) {
+        wrappers_.push_back(std::make_unique<oracle::WireLoopbackAgent>(client));
+        client = wrappers_.back().get();
+      }
+      clients_of.push_back(client);
+      controller_.register_agent(client);
+    }
+    for (size_t a = 0; a < kAgents; ++a) {
+      for (size_t e = 0; e < kPerAgent; ++e) {
+        const size_t i = a * kPerAgent + e;
+        auto s = std::make_unique<ScriptedSource>(
+            "a" + std::to_string(a) + "/el" + std::to_string(e),
+            static_cast<ChannelKind>(i % kNumChannelKinds));
+        s->attrs = {{attr::kRxPkts, static_cast<double>(1000 * i)},
+                    {attr::kTxPkts, static_cast<double>(900 * i)},
+                    {attr::kVm, static_cast<double>(i % 3)}};
+        EXPECT_TRUE(agents_[a]->add_element(s.get()).is_ok());
+        EXPECT_TRUE(
+            controller_.register_element(tenant_, s->id(), clients_of[a])
+                .is_ok());
+        owner_[s->id()] = clients_of[a];
+        if (e % 2 == 0) {
+          const size_t m = (a + 1) % kAgents;
+          EXPECT_TRUE(agents_[m]->add_element(s.get()).is_ok());
+          EXPECT_TRUE(
+              controller_.register_mirror(tenant_, s->id(), clients_of[m])
+                  .is_ok());
+          mirror_[s->id()] = clients_of[m];
+        }
+        ids_.push_back(s->id());
+        sources_.push_back(std::move(s));
+      }
+    }
+  }
+
+  SimTime now_ = SimTime::millis(150);
+  FaultPlan plan_{11};
+  Controller controller_;
+  std::vector<std::unique_ptr<Agent>> agents_;
+  std::vector<std::unique_ptr<AgentClient>> wrappers_;
+  std::vector<std::unique_ptr<ScriptedSource>> sources_;
+  oracle::OwnerMap owner_, mirror_;
+  std::vector<ElementId> ids_;  // every element, creation order
+  const TenantId tenant_{1};
+};
+
+// A seeded id list mixing repeats, ghosts, agent-1 primaries (kMissing,
+// with and without a mirror) and healthy elements; every third list is
+// sorted descending, the rest left in draw order.
+std::vector<ElementId> draw_ids(Pcg32& rng, const std::vector<ElementId>& all,
+                                int trial) {
+  std::vector<ElementId> ids;
+  const size_t n = 1 + rng.next_below(40);
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t kind = rng.next_below(10);
+    if (kind == 0) {
+      ids.push_back(ElementId{"ghost-" + std::to_string(rng.next_below(3))});
+    } else if (kind <= 3 && !ids.empty()) {
+      ids.push_back(ids[rng.next_below(static_cast<uint32_t>(ids.size()))]);
+    } else {
+      ids.push_back(all[rng.next_below(static_cast<uint32_t>(all.size()))]);
+    }
+  }
+  if (trial % 3 == 0) std::sort(ids.rbegin(), ids.rend());
+  return ids;
+}
+
+TEST(ScatterDifferentialTest, DuplicateAndUnsortedIdsMatchReferenceGetAttr) {
+  const std::vector<std::vector<std::string>> attr_sets = {
+      {attr::kRxPkts, attr::kTxPkts},
+      {attr::kTxPkts, attr::kRxPkts, attr::kRxPkts},
+      {attr::kVm, "noSuchAttr", attr::kRxPkts},
+      {}};
+  ThreadPool pool(3);
+  size_t repeats = 0, replicas = 0, blind = 0, ghosts = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    MirrorWorld ref(Clients::kDirect), pooled(Clients::kDirect),
+        looped(Clients::kWireLoopback);
+    Pcg32 rng(5150 + trial);
+    const std::vector<ElementId> ids = draw_ids(rng, ref.ids_, trial);
+    const std::vector<std::string>& attrs =
+        attr_sets[rng.next_below(static_cast<uint32_t>(attr_sets.size()))];
+
+    std::string expect;
+    for (const auto& r : oracle::reference_get_attr(ref.owner_, ref.mirror_,
+                                                    ids, attrs, ref.now_)) {
+      expect += fmt(r);
+    }
+    std::string got_pooled, got_looped;
+    for (const auto& r :
+         pooled.controller_.get_attr_many(pooled.tenant_, ids, attrs, &pool)) {
+      got_pooled += fmt(r);
+    }
+    for (const auto& r :
+         looped.controller_.get_attr_many(looped.tenant_, ids, attrs, &pool)) {
+      got_looped += fmt(r);
+    }
+    EXPECT_EQ(got_pooled, expect) << "trial " << trial;
+    EXPECT_EQ(got_looped, expect) << "trial " << trial;
+
+    std::vector<ElementId> uniq = ids;
+    std::sort(uniq.begin(), uniq.end());
+    repeats += ids.size() -
+               (std::unique(uniq.begin(), uniq.end()) - uniq.begin());
+    auto count = [&expect](const std::string& needle) {
+      size_t n = 0;
+      for (size_t at = expect.find(needle); at != std::string::npos;
+           at = expect.find(needle, at + 1)) {
+        ++n;
+      }
+      return n;
+    };
+    replicas += count("q=replica");
+    blind += count("ERR(") - count("ERR(1) no agent serves element ghost");
+    ghosts += count("ERR(1) no agent serves element ghost");
+  }
+  // Every ingredient must actually occur for the differential to mean
+  // anything.
+  EXPECT_GT(repeats, 100u);
+  EXPECT_GT(replicas, 20u);
+  EXPECT_GT(blind, 20u);
+  EXPECT_GT(ghosts, 20u);
 }
 
 }  // namespace

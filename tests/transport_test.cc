@@ -1093,6 +1093,147 @@ TEST(TransportDeadlineTest, SendAllHonorsDeadlineAgainstAStalledPeer) {
   EXPECT_LT(elapsed.count(), 1500);
 }
 
+// A deadline is a promise in both directions: the call waits at least that
+// long.  (poll() takes whole milliseconds; truncating the time left made a
+// 1 ms read give up after 17 µs and a 10 ms one after 9.1 ms.)  Only the
+// lower bound is checked, so a slow host cannot fail it.
+TEST(TransportDeadlineTest, DeadlinesNeverFireEarly) {
+  SocketPair pair = SocketPair::make();
+  // Never fits: the peer does not read.
+  const std::string payload(8 * 1024 * 1024, 'p');
+  for (int ms : {1, 2, 3, 5, 10}) {
+    std::string buf;
+    auto t0 = transport::Clock::now();
+    Status st = pair.client.recv_exact(4, &buf, WallDuration(ms));
+    auto waited = transport::Clock::now() - t0;
+    EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded);
+    EXPECT_GE(waited, std::chrono::milliseconds(ms)) << "recv_exact " << ms;
+
+    t0 = transport::Clock::now();
+    st = pair.client.send_all(payload, WallDuration(ms));
+    waited = transport::Clock::now() - t0;
+    EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded);
+    EXPECT_GE(waited, std::chrono::milliseconds(ms)) << "send_all " << ms;
+  }
+}
+
+// --- held-back bytes ---------------------------------------------------------
+
+// A traced reply is a batch with a PSM1 message right behind it, usually in
+// one segment.  read_batch takes exactly the batch; the message is held
+// back and is the next read's.
+TEST(TransportBufferedReadTest, BatchAndTrailingMessageInOneWriteSplitExactly) {
+  SocketPair pair = SocketPair::make();
+  const std::string batch = synthetic_batch(8, 16);
+  const std::string msg =
+      wire::encode_message(wire::MessageKind::kTraceData, "spans");
+  ASSERT_TRUE(pair.server.send_all(batch + msg).is_ok());
+
+  transport::BatchReadResult read =
+      transport::read_batch(pair.client, WallDuration(1000));
+  ASSERT_TRUE(read.clean()) << read.status.message();
+  EXPECT_EQ(read.bytes, batch);
+  EXPECT_EQ(pair.client.held_bytes(), msg.size());
+
+  Result<std::string> got =
+      transport::read_message_bytes(pair.client, WallDuration(1000));
+  ASSERT_TRUE(got.ok()) << got.status().message();
+  EXPECT_EQ(got.value(), msg);
+  EXPECT_EQ(pair.client.held_bytes(), 0u);
+}
+
+// Holds back "cdefgh": one 8-byte write, of which the reader asks for 2.
+std::string hold_six(SocketPair& pair) {
+  EXPECT_TRUE(pair.server.send_all("abcdefgh").is_ok());
+  std::string buf;
+  EXPECT_TRUE(pair.client.recv_exact(2, &buf, WallDuration(1000)).is_ok());
+  EXPECT_EQ(pair.client.held_bytes(), 6u);
+  return buf;
+}
+
+TEST(TransportBufferedReadTest, HeldBytesMoveWithTheSocket) {
+  SocketPair pair = SocketPair::make();
+  EXPECT_EQ(hold_six(pair), "ab");
+  pair.server.close();  // the fd has nothing more; only held bytes remain
+
+  transport::Socket moved(std::move(pair.client));
+  EXPECT_EQ(pair.client.held_bytes(), 0u);
+  EXPECT_EQ(moved.held_bytes(), 6u);
+  transport::Socket assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(moved.held_bytes(), 0u);
+
+  std::string buf;
+  ASSERT_TRUE(assigned.recv_exact(6, &buf, WallDuration(1000)).is_ok());
+  EXPECT_EQ(buf, "cdefgh");
+  Status st = assigned.recv_exact(1, &buf, WallDuration(1000));
+  EXPECT_EQ(st.code(), StatusCode::kUnavailable);  // EOF, nothing stale
+}
+
+TEST(TransportBufferedReadTest, CloseDropsHeldBytes) {
+  SocketPair pair = SocketPair::make();
+  hold_six(pair);
+  pair.client.close();
+  EXPECT_EQ(pair.client.held_bytes(), 0u);
+  std::string buf;
+  Status st = pair.client.recv_exact(1, &buf, WallDuration(10));
+  EXPECT_EQ(st.code(), StatusCode::kUnavailable);
+  EXPECT_TRUE(buf.empty());
+  EXPECT_FALSE(transport::wait_readable(pair.client, WallDuration(0)));
+}
+
+TEST(TransportBufferedReadTest, ReadSomeServesHeldBytesBeforeTheFd) {
+  SocketPair pair = SocketPair::make();
+  hold_six(pair);
+  ASSERT_TRUE(pair.server.send_all("XYZ").is_ok());
+  pair.client.set_nonblocking(true);
+  // Held bytes count as readable without a poll of the fd.
+  EXPECT_TRUE(transport::wait_readable(pair.client, WallDuration(0)));
+
+  std::string buf;
+  Result<size_t> n = pair.client.read_some(&buf);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(n.value(), 6u);
+  EXPECT_EQ(buf, "cdefgh");
+  ASSERT_TRUE(transport::wait_readable(pair.client, WallDuration(1000)));
+  n = pair.client.read_some(&buf);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(buf, "cdefghXYZ");
+}
+
+// Read-ahead must not loosen the one-budget rule: a peer dribbling a
+// 64-frame batch (~3.5 s at 40 bytes per 50 ms) still costs the reader one
+// 300 ms deadline, not one per frame or per recv.
+TEST(TransportBufferedReadTest, DribbledBatchStillCostsOneDeadline) {
+  SocketPair pair = SocketPair::make();
+  const std::string batch = synthetic_batch(64, 32);
+
+  std::atomic<bool> stop{false};
+  std::thread dribbler([&] {
+    for (size_t at = 0; at < batch.size() && !stop; at += 40) {
+      if (!pair.server.send_all(std::string_view(batch).substr(
+              at, std::min<size_t>(40, batch.size() - at))).is_ok()) {
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+  });
+
+  const auto t0 = transport::Clock::now();
+  transport::BatchReadResult read =
+      transport::read_batch(pair.client, WallDuration(300));
+  const auto elapsed = transport::Clock::now() - t0;
+  stop = true;
+  dribbler.join();
+
+  EXPECT_EQ(read.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_GE(elapsed, std::chrono::milliseconds(300));
+  EXPECT_LT(elapsed, std::chrono::milliseconds(1500));
+  // Everything that arrived is the caller's, in order.
+  EXPECT_FALSE(read.bytes.empty());
+  EXPECT_EQ(read.bytes, batch.substr(0, read.bytes.size()));
+}
+
 // --- accept-error backoff ----------------------------------------------------
 
 namespace {

@@ -563,6 +563,110 @@ TEST(WireCodecTest, ChecksumIsFnv1a64) {
   EXPECT_EQ(wire::kMagic, 0x31425350u);
 }
 
+// --- the in-place batch encoder ----------------------------------------------
+
+// A PSB1 batch header, spelled out field by field.
+std::string batch_header(uint32_t frames, uint64_t channel_ns,
+                         uint32_t unknown) {
+  std::string h;
+  auto put = [&h](uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) h.push_back(static_cast<char>(v >> (8 * i)));
+  };
+  put(wire::kMagic, 4);
+  put(frames, 4);
+  put(channel_ns, 8);
+  put(unknown, 4);
+  return h;
+}
+
+// encode_batch writes each frame in place in the batch buffer; it must be
+// byte for byte the header plus encode_frame of every response, in order.
+// The corpus is every batch the PSB1 fuzz tests above draw: RoundTripIdentity
+// (seed 2024), TruncationIsDetected (seed 7) and BitFlipNeverYieldsWrongRecord
+// (seed 4242, with that test's flip draws replayed).
+TEST(WireCodecTest, InPlaceBatchEqualsHeaderPlusFrames) {
+  auto check = [](const BatchResponse& b) {
+    std::string expect = batch_header(
+        static_cast<uint32_t>(b.responses.size()),
+        static_cast<uint64_t>(b.channel_time.ns()),
+        static_cast<uint32_t>(b.unknown_ids));
+    for (const QueryResponse& r : b.responses) expect += canon(r);
+    const std::string got = wire::encode_batch(b).value();
+    EXPECT_EQ(got, expect);
+    return got.size();
+  };
+  size_t batches = 0;
+  {
+    Pcg32 rng(2024);
+    for (int trial = 0; trial < 200; ++trial, ++batches) {
+      check(random_batch(rng, 12));
+    }
+  }
+  {
+    Pcg32 rng(7);
+    for (int trial = 0; trial < 60; ++trial, ++batches) {
+      check(random_batch(rng, 6));
+    }
+  }
+  {
+    Pcg32 rng(4242);
+    for (int trial = 0; trial < 400; ++trial, ++batches) {
+      const size_t size = check(random_batch(rng, 8));
+      rng.next_below(static_cast<uint32_t>(size));  // the flip position
+      rng.next_below(8);                            // the flipped bit
+    }
+  }
+  EXPECT_EQ(batches, 660u);
+}
+
+// A record whose payload passes the structural cap fails the batch with the
+// text the frame encoder has always given, and never yields a partial batch.
+TEST(WireCodecTest, OverCapRecordFailsTheBatchWithTheSameText) {
+  QueryResponse big;
+  big.record.element = ElementId{"big"};
+  // 65535 attrs of 2 + 247 + 8 bytes each, plus a 29-byte record header and
+  // attr count: 16842524 bytes, past the 16 MiB cap.
+  big.record.attrs.assign(0xffff, Attr{std::string(247, 'a'), 1.0});
+  const std::string text =
+      "wire: frame payload for element big is 16842524 bytes (cap 16777216)";
+
+  Result<std::string> frame = wire::encode_frame(big);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(frame.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(frame.status().message(), text);
+
+  BatchResponse b;
+  QueryResponse fine;
+  fine.record.element = ElementId{"fine"};
+  b.responses = {fine, std::move(big), fine};
+  Result<std::string> batch = wire::encode_batch(b);
+  ASSERT_FALSE(batch.ok());
+  EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(batch.status().message(), text);
+}
+
+// A header claiming 2^32-1 frames over a 40-byte body (one whole frame)
+// decodes that frame and reports truncation.  The decoder reserves room for
+// at most the frames the bytes can hold, so the count sizes nothing.
+TEST(WireCodecTest, GiantFrameCountOverShortBodyIsTruncatedNotReserved) {
+  QueryResponse r;
+  r.record.element = ElementId{"ab"};  // the smallest frame plus two bytes
+  const std::string frame = canon(r);
+  ASSERT_EQ(frame.size(), 40u);
+  const std::string bytes = batch_header(0xffffffffu, 0, 0) + frame;
+
+  wire::DecodeStats st;
+  Result<BatchResponse> got = wire::decode_batch(bytes, &st);
+  ASSERT_TRUE(got.ok()) << got.status().message();
+  EXPECT_TRUE(st.truncated);
+  EXPECT_FALSE(st.corrupt);
+  EXPECT_EQ(st.frames_expected, 0xffffffffu);
+  EXPECT_EQ(st.frames_ok, 1u);
+  ASSERT_EQ(got.value().responses.size(), 1u);
+  EXPECT_EQ(canon(got.value().responses.front()), frame);
+  EXPECT_LE(got.value().responses.capacity(), 1u);
+}
+
 // --- kSubscribe / kStreamData codec ------------------------------------------
 
 wire::StreamDataMsg random_stream_frame(Pcg32& rng, uint64_t seq) {
